@@ -21,14 +21,15 @@ from .jump_series import (
     Y_OVER_LOG,
     QUAD_ABS_TOL,
     QUAD_MAX_PANELS,
+    JumpSeries,
     SmoothTerm,
     StepPlusSmooth,
     _antiderivative_diff,
-    build_jump_series,
     integrate_kernel_times_step,
     stieltjes_integrate,
 )
 from .report import IdentityId, make_report
+from .staircases import prime_staircase
 
 __all__ = [
     "LiValue",
@@ -73,10 +74,7 @@ def li_from_2(x, *, abs_tol=QUAD_ABS_TOL):
 
 def _log_weight_series(table, x, *, above=None):
     """Atoms (p, log(p)/p) for primes p <= x, optionally only p > above."""
-    ps = table.primes_leq(x).tolist()
-    if above is not None:
-        ps = [p for p in ps if p > above]
-    return build_jump_series((float(p), math.log(p) / p) for p in ps)
+    return JumpSeries(*prime_staircase(table, "log_weight", x, above=above))
 
 
 def _log_log_diff(a, b):

@@ -8,6 +8,7 @@ CSV), bench (time the harmonic routes).  Exit codes: 0 success / all pass,
 
 import argparse
 import csv
+import decimal
 import math
 import statistics
 import sys
@@ -52,11 +53,26 @@ _NATURALS_IDS = {IdentityId.HARMONIC, IdentityId.FLOOR, IdentityId.TRIANGULAR}
 _SET_IDS = {IdentityId.COUNT, IdentityId.POWER_SUM, IdentityId.RECIPROCAL_POWER_SUM}
 
 
+def _int_text(n):
+    """Decimal digits of an int of any size.
+
+    str() refuses ints past the interpreter's digit limit
+    (sys.get_int_max_str_digits); decimal.Decimal converts without it, and
+    the process-wide limit is left alone for library callers.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        return str(decimal.Decimal(n))
+
+
 def _fmt(value):
     """Render a number: 17 significant digits for floats, num/den for rationals."""
     if isinstance(value, Rational):
-        num, den = value.numerator, value.denominator
-        return str(num) if den == 1 else f"{num}/{den}"
+        num, den = int(value.numerator), int(value.denominator)
+        if den == 1:
+            return _int_text(num)
+        return f"{_int_text(num)}/{_int_text(den)}"
     return f"{float(value):.17g}"
 
 
@@ -67,6 +83,11 @@ def _fmt_float(value):
 # =====================================================================
 # compute
 # =====================================================================
+
+
+def _require_finite(option, value):
+    if not math.isfinite(value):
+        raise DomainError(f"{option} must be finite, got {value}")
 
 
 def _compute_value(function, method, x, exact, limit):
@@ -112,6 +133,7 @@ def command_compute(args):
         )
     if args.exact and (function, method) in _FLOAT_ONLY_METHODS:
         raise ConfigurationError(f"{function} {method} has no exact mode")
+    _require_finite("--x", args.x)
     value = _compute_value(function, method, args.x, args.exact, args.limit)
     print(f"{function} {method} {_fmt_float(args.x)} {_fmt(value)}")
     return 0
@@ -175,6 +197,10 @@ def command_verify(args):
     identity = IdentityId(args.identity)
     if args.samples < 1:
         raise ConfigurationError(f"--samples must be at least 1, got {args.samples}")
+    if args.jobs < 1:
+        raise ConfigurationError(f"--jobs must be at least 1, got {args.jobs}")
+    if identity not in _SET_IDS:
+        _require_finite("--xmax", args.xmax)
     if identity in _SET_IDS:
         reports = verify.random_set_sweep(
             args.seed, args.samples, tol=args.tol, jobs=args.jobs

@@ -19,11 +19,13 @@ from numbers import Rational, Real
 
 from .errors import DomainError
 from .jump_series import (
+    JumpSeries,
     Kernel,
     build_jump_series,
     integrate_kernel_times_step,
     _rational_pow,
 )
+from .staircases import prime_staircase
 
 __all__ = [
     "count_via_abel",
@@ -207,11 +209,16 @@ def triangular_via_identity(x, *, exact=False):
 # =====================================================================
 
 
+# The float prime staircases are prepared once per table (staircases.py).
+# The exact ones are built per query, straight from the sieve output, which
+# meets the JumpSeries contract: sorted, distinct, positive, no zero weight.
+
+
 def _reciprocal_prime_series(table, x, exact):
-    ps = table.primes_leq(x).tolist()
     if exact:
-        return build_jump_series((p, Fraction(1, p)) for p in ps)
-    return build_jump_series((float(p), 1.0 / p) for p in ps)
+        ps = table.primes_leq(x).tolist()
+        return JumpSeries(ps, [Fraction(1, p) for p in ps])
+    return JumpSeries(*prime_staircase(table, "reciprocal", x))
 
 
 def prime_count_via_identity(table, x, *, exact=False):
@@ -232,11 +239,11 @@ def prime_reciprocal_sum_via_prime_sums(table, x, *, exact=False):
     G(x)/x**2 + 2 * integral of G(y)/y**3 from 2 to x; the reciprocal
     power-sum route with k = 1 over the series with atoms (p, p).
     """
-    ps = table.primes_leq(x).tolist()
     if exact:
-        series = build_jump_series((p, p) for p in ps)
+        ps = table.primes_leq(x).tolist()
+        series = JumpSeries(ps, ps)
     else:
-        series = build_jump_series((float(p), float(p)) for p in ps)
+        series = JumpSeries(*prime_staircase(table, "prime", x))
     return reciprocal_power_sum_via_abel(series, _point(x, exact), 1)
 
 
@@ -246,11 +253,11 @@ def prime_reciprocal_sum_via_pi(table, x, *, exact=False):
     pi(x)/x + integral from 2 to x of pi(y)/y**2; the step is the counting
     series with unit weights at the primes.
     """
-    ps = table.primes_leq(x).tolist()
     if exact:
-        series = build_jump_series((p, 1) for p in ps)
+        ps = table.primes_leq(x).tolist()
+        series = JumpSeries(ps, [1] * len(ps))
     else:
-        series = build_jump_series((float(p), 1.0) for p in ps)
+        series = JumpSeries(*prime_staircase(table, "count", x))
     xq = _point(x, exact)
     _require_point_at_or_after(series, xq)
     boundary = series.value(xq) * _rational_pow(xq, -1)

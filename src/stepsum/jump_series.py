@@ -233,7 +233,15 @@ def _scale_to_common_denominator(values):
 
 
 class JumpSeries:
-    """Immutable right-inclusive step function; build via build_jump_series.
+    """Immutable right-inclusive step function.
+
+    The constructor takes data that are already normalised and checks
+    none of it: ``locations`` strictly increasing, positive and finite
+    reals, and ``weights`` (one per location) finite and nonzero reals.
+    Sieve output and the random-set draws of stepsum.verify meet this by
+    construction.  Input from outside the program goes through
+    build_jump_series, which validates, sorts, merges and drops zero
+    weights.
 
     An exact series (every location and weight rational) does not add up
     its running sums as Fractions: they are integer numerators over one

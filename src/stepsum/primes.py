@@ -44,9 +44,13 @@ def sieve(limit, *, limit_cap=DEFAULT_LIMIT_CAP):
 
 
 class PrimeTable:
-    """Primes up to a fixed limit, with query methods used as oracles."""
+    """Primes up to a fixed limit, with query methods used as oracles.
 
-    __slots__ = ("_limit", "_primes")
+    Weakly referenceable, so that prepared staircases (stepsum.staircases)
+    can live exactly as long as their table.
+    """
+
+    __slots__ = ("_limit", "_primes", "__weakref__")
 
     def __init__(self, limit, primes):
         self._limit = limit

@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import analytic, identities
-from .errors import ConfigurationError, DomainError, RangeError
+from .errors import ConfigurationError, DomainError, PanelBudgetError, RangeError
 from .jump_series import JumpSeries
 from .report import IdentityId, error_report, make_report
 
@@ -105,10 +105,11 @@ def _routes(identity, table, exact):
 def run_sweep(identity, table, x_samples, *, k=None, tol=1e-9, exact=False, jobs=1):
     """Evaluate a pointwise identity at each sample and report both sides.
 
-    Samples that fall outside a route's domain come back as failed error
-    reports; the sweep keeps going.  ``k`` is recorded in the reports but
-    no pointwise identity consumes it.  Set-based identities are rejected
-    here (use random_set_sweep) and the subinterval check likewise (use
+    Samples that fall outside a route's domain, or whose quadrature runs
+    out of panels, come back as failed error reports; the sweep keeps
+    going.  ``k`` is recorded in the reports but no pointwise identity
+    consumes it.  Set-based identities are rejected here (use
+    random_set_sweep) and the subinterval check likewise (use
     increment_sweep).
     """
     if identity in _SET_BASED:
@@ -125,7 +126,7 @@ def run_sweep(identity, table, x_samples, *, k=None, tol=1e-9, exact=False, jobs
         try:
             lhs = lhs_fn(x)
             rhs = rhs_fn(x)
-        except (DomainError, RangeError):
+        except (DomainError, RangeError, PanelBudgetError):
             return error_report(identity, x, tol, k=k)
         return make_report(identity, x, lhs, rhs, tol, k=k, exact=exact)
 
@@ -139,7 +140,7 @@ def increment_sweep(table, intervals, *, tol=1e-10, jobs=1):
         a, b = pair
         try:
             return analytic.check_reciprocal_sum_increment(table, a, b, tol=tol)
-        except (DomainError, RangeError):
+        except (DomainError, RangeError, PanelBudgetError):
             return error_report(IdentityId.HP_INCREMENT, a, tol, k=b)
 
     return _map_ordered(evaluate, list(intervals), jobs)
@@ -222,8 +223,6 @@ def _direct_power_sum(ratios, k):
 
 
 def _check_one_set(task, k_set, tol, exact):
-    # _draw_set guarantees sorted, distinct, positive locations, so the
-    # series are built directly instead of through the validating path
     trial, qs, x = task
     reports = []
     count = bisect_right(qs, x)

@@ -1,10 +1,15 @@
 """End-to-end CLI behavior: output formats, CSV stability, exit codes."""
 
 import csv
+import decimal
+import math
+import sys
+from fractions import Fraction
 
 import pytest
 
 from stepsum.cli import main, run_bench
+from stepsum.primes import sieve
 
 
 def run_cli(capsys, *argv):
@@ -83,6 +88,38 @@ class TestCompute:
         code, _, _ = run_cli(capsys, "compute", "totient", "--x", "10")
         assert code == 2
 
+    def test_exact_value_past_the_int_digit_limit(self, capsys):
+        """A numerator and denominator of 8600 digits print in full."""
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run_cli(
+            capsys, "compute", "hp", "--x", "20000", "--method", "from_pi",
+            "--exact",
+        )
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        ps = sieve(20000).primes.tolist()
+        den = math.prod(ps)
+        want = Fraction(sum(den // p for p in ps), den)
+        num_text, den_text = out.split()[3].split("/")
+        assert len(den_text) > 4300
+        assert num_text == str(decimal.Decimal(want.numerator))
+        assert den_text == str(decimal.Decimal(want.denominator))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("compute", "pi", "--x", "nan"),
+            ("compute", "pi", "--x", "inf"),
+            ("verify", "--identity", "prime_count", "--xmax", "nan"),
+            ("verify", "--identity", "prime_count", "--xmax", "inf"),
+        ],
+    )
+    def test_non_finite_argument_is_domain_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert "must be finite" in err
+
 
 # -----------------------------------------------------------------------
 # verify
@@ -128,6 +165,16 @@ class TestVerify:
             capsys, "verify", "--identity", "harmonic", "--samples", "0"
         )
         assert code == 2
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, capsys, jobs):
+        code, out, err = run_cli(
+            capsys, "verify", "--identity", "harmonic", "--xmax", "100",
+            "--samples", "5", "--jobs", jobs,
+        )
+        assert code == 2
+        assert out == ""
+        assert "--jobs must be at least 1" in err
 
     def test_unknown_identity_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--identity", "zeta")

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from stepsum.errors import ConfigurationError
+from stepsum import analytic, quadrature
+from stepsum.errors import ConfigurationError, PanelBudgetError
 from stepsum.primes import sieve
 from stepsum.report import IdentityId
 from stepsum.verify import (
@@ -42,6 +43,20 @@ class TestRunSweep:
         """A bad sample fails its own report; the sweep keeps going."""
         reports = run_sweep(IdentityId.PRIME_COUNT, table, [10.0, 99999.0, 50.0])
         assert [r.passed for r in reports] == [True, False, True]
+        assert math.isnan(reports[1].lhs)
+
+    def test_panel_budget_error_fails_only_its_sample(self, table, monkeypatch):
+        integrate = quadrature.integrate
+
+        def budget_runs_out_at_50(f, a, b, **kwargs):
+            if b == 50.0:
+                raise PanelBudgetError("out of panels")
+            return integrate(f, a, b, **kwargs)
+
+        monkeypatch.setattr(quadrature, "integrate", budget_runs_out_at_50)
+        reports = run_sweep(IdentityId.PRIME_COUNT_LI, table, [10.0, 50.0, 90.0])
+        assert [r.passed for r in reports] == [True, False, True]
+        assert [r.x for r in reports] == [10.0, 50.0, 90.0]
         assert math.isnan(reports[1].lhs)
 
     def test_naturals_identities_need_no_table(self):
@@ -151,6 +166,22 @@ class TestIncrementSweep:
         a = increment_sweep(table, intervals)
         b = increment_sweep(table, intervals, jobs=4)
         assert a == b
+
+    def test_panel_budget_error_fails_only_its_interval(self, table, monkeypatch):
+        check = analytic.check_reciprocal_sum_increment
+
+        def budget_runs_out_at_50(table, a, b, **kwargs):
+            if b == 50.0:
+                raise PanelBudgetError("out of panels")
+            return check(table, a, b, **kwargs)
+
+        monkeypatch.setattr(
+            analytic, "check_reciprocal_sum_increment", budget_runs_out_at_50
+        )
+        reports = increment_sweep(table, [(2.0, 10.0), (3.0, 50.0), (5.0, 90.0)])
+        assert [r.passed for r in reports] == [True, False, True]
+        assert (reports[1].x, reports[1].k) == (3.0, 50.0)
+        assert math.isnan(reports[1].lhs)
 
     def test_out_of_range_interval_fails_its_report(self, table):
         reports = increment_sweep(table, [(2.0, 10.0), (2.0, 99999.0)])
