@@ -43,7 +43,6 @@ from .jump_series import (
     INV_Y_LOG_SQ,
     POWER_ZERO,
     Y_OVER_LOG,
-    Atom,
     JumpSeries,
     Kernel,
     SmoothTerm,
@@ -66,7 +65,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "Atom",
     "Kernel",
     "POWER_ZERO",
     "INV_Y_LOG_SQ",

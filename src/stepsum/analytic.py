@@ -19,12 +19,9 @@ from .jump_series import (
     INV_Y_LOG,
     INV_Y_LOG_SQ,
     Y_OVER_LOG,
-    QUAD_ABS_TOL,
-    QUAD_MAX_PANELS,
     JumpSeries,
     SmoothTerm,
     StepPlusSmooth,
-    _antiderivative_diff,
     integrate_kernel_times_step,
     stieltjes_integrate,
 )
@@ -59,16 +56,14 @@ def _check_analytic_point(x, what="x"):
     return fx
 
 
-def li_from_2(x, *, abs_tol=QUAD_ABS_TOL):
+def li_from_2(x):
     """Integral of 1/log t from 2 to x, by adaptive quadrature.
 
     Starting at 2 keeps the singularity of 1/log t at t = 1 strictly
     outside every panel, so no principal value is ever involved.
     """
     fx = _check_analytic_point(x)
-    value, err = quadrature.integrate(
-        INV_LOG, 2.0, fx, abs_tol=abs_tol, max_panels=QUAD_MAX_PANELS
-    )
+    value, err = quadrature.integrate(INV_LOG, 2.0, fx)
     return LiValue(x=fx, value=value, abs_err_bound=err)
 
 
@@ -79,7 +74,7 @@ def _log_weight_series(table, x, *, above=None):
 
 def _log_log_diff(a, b):
     """log log b - log log a, stable when b is near a (needs 1 < a <= b)."""
-    return _antiderivative_diff(INV_Y_LOG, a, b)
+    return INV_Y_LOG.antiderivative_diff(a, b)
 
 
 def mertens_remainder(table, x):

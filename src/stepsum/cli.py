@@ -18,7 +18,7 @@ from numbers import Rational
 
 import numpy as np
 
-from . import analytic, identities, verify
+from . import identities, verify
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -26,32 +26,12 @@ from .errors import (
     RangeError,
     ResourceError,
 )
-from .primes import sieve
+from .primes import DEFAULT_LIMIT_CAP, sieve
 from .report import IdentityId
 
 __all__ = ["main", "build_parser", "BenchReport", "run_bench", "write_csv"]
 
 CSV_HEADER = ["identity", "x", "k", "lhs", "rhs", "abs_err", "rel_err", "tol", "pass"]
-
-# which computation methods exist per function; the first is the default
-_METHODS = {
-    "harmonic": ("direct", "identity"),
-    "hp": ("direct", "prime_sums", "from_pi", "mertens"),
-    "pi": ("direct", "identity", "li"),
-    "prime_sum": ("direct", "identity"),
-    "li2": ("direct",),
-    "r": ("direct",),
-    "mertens": ("direct",),
-}
-
-_FLOAT_ONLY_METHODS = {("hp", "mertens"), ("pi", "li"), ("li2", "direct"),
-                       ("r", "direct"), ("mertens", "direct")}
-
-_NEEDS_TABLE = {"hp", "pi", "prime_sum", "r", "mertens"}
-
-_NATURALS_IDS = {IdentityId.HARMONIC, IdentityId.FLOOR, IdentityId.TRIANGULAR}
-_SET_IDS = {IdentityId.COUNT, IdentityId.POWER_SUM, IdentityId.RECIPROCAL_POWER_SUM}
-
 
 def _int_text(n):
     """Decimal digits of an int of any size.
@@ -91,47 +71,23 @@ def _require_finite(option, value):
 
 
 def _compute_value(function, method, x, exact, limit):
+    route = verify.ROUTES[function, method]
     table = None
-    if function in _NEEDS_TABLE:
+    if route.needs_table:
         table = sieve(limit if limit is not None else max(2, math.ceil(x)))
-    if function == "harmonic":
-        if method == "direct":
-            return identities.harmonic_direct(x, exact=exact)
-        return identities.harmonic_via_identity(x, exact=exact)
-    if function == "hp":
-        if method == "direct":
-            return table.reciprocal_sum(x, exact=exact)
-        if method == "prime_sums":
-            return identities.prime_reciprocal_sum_via_prime_sums(table, x, exact=exact)
-        if method == "from_pi":
-            return identities.prime_reciprocal_sum_via_pi(table, x, exact=exact)
-        return analytic.prime_reciprocal_sum_via_mertens(table, x)
-    if function == "pi":
-        if method == "direct":
-            return table.pi(x)
-        if method == "identity":
-            return identities.prime_count_via_identity(table, x, exact=exact)
-        return analytic.prime_count_via_li(table, x)
-    if function == "prime_sum":
-        if method == "direct":
-            return table.prime_power_sum(x, 1)
-        return identities.prime_sum_via_identity(table, x, exact=exact)
-    if function == "li2":
-        return analytic.li_from_2(x).value
-    if function == "r":
-        return analytic.mertens_remainder(table, x)
-    return analytic.prime_reciprocal_sum_via_mertens(table, x)
+    return route.call(table, x, exact)
 
 
 def command_compute(args):
     function = args.function
-    methods = _METHODS[function]
+    # a function's default method is listed first
+    methods = [m for f, m in verify.ROUTES if f == function]
     method = args.method if args.method is not None else methods[0]
     if method not in methods:
         raise ConfigurationError(
             f"function {function} supports methods {', '.join(methods)}; got {method}"
         )
-    if args.exact and (function, method) in _FLOAT_ONLY_METHODS:
+    if args.exact and not verify.ROUTES[function, method].exact:
         raise ConfigurationError(f"{function} {method} has no exact mode")
     _require_finite("--x", args.x)
     value = _compute_value(function, method, args.x, args.exact, args.limit)
@@ -181,12 +137,12 @@ def write_csv(path, reports):
             )
 
 
-def _sample_grid(identity, xmax, samples, table):
-    """Log-spaced samples plus every atom below min(xmax, 100)."""
-    lower = 1.0 if identity in _NATURALS_IDS else 2.0
+def _sample_grid(lower, xmax, samples, table):
+    """Log-spaced samples from ``lower`` plus every atom below min(xmax, 100):
+    the naturals without a table, its primes with one."""
     grid = [float(v) for v in np.geomspace(lower, xmax, samples)]
     atom_cut = min(xmax, 100.0)
-    if identity in _NATURALS_IDS:
+    if table is None:
         grid.extend(float(i) for i in range(1, math.floor(atom_cut) + 1))
     else:
         grid.extend(float(p) for p in table.primes_leq(atom_cut).tolist())
@@ -199,33 +155,34 @@ def command_verify(args):
         raise ConfigurationError(f"--samples must be at least 1, got {args.samples}")
     if args.jobs < 1:
         raise ConfigurationError(f"--jobs must be at least 1, got {args.jobs}")
-    if identity not in _SET_IDS:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ConfigurationError(f"--tol must be finite and at least 0, got {args.tol}")
+    if identity is IdentityId.HP_INCREMENT:
         _require_finite("--xmax", args.xmax)
-    if identity in _SET_IDS:
-        reports = verify.random_set_sweep(
-            args.seed, args.samples, tol=args.tol, jobs=args.jobs
-        )
-    elif identity is IdentityId.HP_INCREMENT:
         if args.xmax <= 2.0:
             raise ConfigurationError(f"--xmax must exceed 2, got {args.xmax}")
         table = sieve(max(2, math.ceil(args.xmax)))
         intervals = verify.random_intervals(args.seed, args.samples, hi=args.xmax)
-        reports = verify.increment_sweep(
-            table, intervals, tol=args.tol, jobs=args.jobs
-        )
-    else:
-        lower = 1.0 if identity in _NATURALS_IDS else 2.0
-        if args.xmax < lower:
+        reports = verify.increment_sweep(table, intervals, tol=args.tol)
+    elif identity in verify.POINTWISE:
+        _require_finite("--xmax", args.xmax)
+        route = verify.ROUTES[verify.POINTWISE[identity]]
+        if args.xmax < route.lower:
             raise ConfigurationError(
-                f"--xmax must be at least {lower} for {identity.value}"
+                f"--xmax must be at least {route.lower} for {identity.value}"
             )
         table = None
-        if identity not in _NATURALS_IDS:
+        if route.needs_table:
             table = sieve(max(2, math.ceil(args.xmax)))
-        grid = _sample_grid(identity, args.xmax, args.samples, table)
-        reports = verify.run_sweep(
-            identity, table, grid, tol=args.tol, jobs=args.jobs
-        )
+        elif math.floor(args.xmax) > DEFAULT_LIMIT_CAP:
+            # the naturals' routes loop once per integer: the sieve's cap
+            raise ResourceError(
+                f"--xmax {args.xmax} exceeds the configured cap {DEFAULT_LIMIT_CAP}"
+            )
+        grid = _sample_grid(route.lower, args.xmax, args.samples, table)
+        reports = verify.run_sweep(identity, table, grid, tol=args.tol)
+    else:
+        reports = verify.random_set_sweep(args.seed, args.samples, tol=args.tol)
     if args.csv:
         write_csv(args.csv, reports)
     passed = sum(1 for r in reports if r.passed)
@@ -330,7 +287,10 @@ def build_parser():
     p.set_defaults(func=command_primes)
 
     p = sub.add_parser("compute", help="compute one value by one method")
-    p.add_argument("function", choices=sorted(_METHODS))
+    p.add_argument(
+        "function",
+        choices=sorted({f for (f, _), route in verify.ROUTES.items() if route.compute}),
+    )
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--method", default=None)
     p.add_argument("--exact", action="store_true")
@@ -346,6 +306,7 @@ def build_parser():
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--csv", default=None, help="write all reports to this path")
+    # accepted for compatibility: sweeps run serially
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=command_verify)
 

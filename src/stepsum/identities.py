@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 from numbers import Rational, Real
 
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 from .jump_series import (
     JumpSeries,
     Kernel,
@@ -25,6 +25,7 @@ from .jump_series import (
     integrate_kernel_times_step,
     _rational_pow,
 )
+from .primes import DEFAULT_LIMIT_CAP
 from .staircases import prime_staircase
 
 __all__ = [
@@ -119,6 +120,11 @@ def _check_at_least(x, lower, what):
         raise DomainError(f"{what} must be finite, got {x}")
     if x < lower:
         raise DomainError(f"{what} must be at least {lower}, got {x}")
+    # the routes over the naturals loop once per integer up to x
+    if math.floor(x) > DEFAULT_LIMIT_CAP:
+        raise ResourceError(
+            f"{what} {x} exceeds the configured cap {DEFAULT_LIMIT_CAP}"
+        )
 
 
 def _point(x, exact):

@@ -23,7 +23,7 @@ cancellation between nearby segment endpoints.
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
@@ -34,7 +34,6 @@ from . import quadrature
 from .errors import DomainError
 
 __all__ = [
-    "Atom",
     "Kernel",
     "POWER_ZERO",
     "INV_Y_LOG_SQ",
@@ -49,65 +48,50 @@ __all__ = [
     "stieltjes_integrate",
 ]
 
-QUAD_ABS_TOL = 1e-12
-QUAD_MAX_PANELS = 10**6
-
-
-class Atom(NamedTuple):
-    location: Real
-    weight: Real
-
-
 # =====================================================================
 # Kernel catalog
 # =====================================================================
 
 
-@dataclass(frozen=True)
 class Kernel:
-    """One of the integrand shapes with a known integration strategy.
+    """An integrand shape with a known integration strategy.
 
-    Tags: "power" is y**k (exponent k carried alongside), the others are
-    1/(y log^2 y), 1/(y log y), 1/log y and y/log y.  The first three have
-    elementary antiderivatives; 1/log y and y/log y fall back to adaptive
-    quadrature when integrated against a step.
+    Every kernel states in one place how to evaluate it, the largest value
+    the integration lower bound must stay above (``lower_domain_edge``,
+    None for no edge), its integral over [l, r] for floats l <= r
+    (``antiderivative_diff(l, r)``; None where there is no elementary
+    antiderivative and adaptive quadrature takes over), and its
+    ``density_partner``, the kernel of kernel(y) / y that the NEG_LOG
+    density integrates.  ``integer_exponent`` is the int k of y**k for an
+    integral k, which keeps rational data rational; None otherwise.
+
+    Instances of this class are kernels in log y, defined for y > 1 and
+    evaluated in floats: the module constants INV_Y_LOG_SQ, INV_Y_LOG,
+    INV_LOG and Y_OVER_LOG are 1/(y log^2 y), 1/(y log y), 1/log y and
+    y/log y, and the first two have elementary antiderivatives.
+    Kernel.power(k) is y**k.
     """
 
-    tag: str
-    exponent: Real | None = None
+    lower_domain_edge = 1.0
+    integer_exponent = None
 
-    @classmethod
-    def power(cls, k):
+    def __init__(self, tag, evaluate, antiderivative_diff, density_partner):
+        self.tag = tag
+        self._evaluate = evaluate
+        self.antiderivative_diff = antiderivative_diff
+        self.density_partner = density_partner
+
+    @staticmethod
+    def power(k):
         if not isinstance(k, Real):
             raise DomainError(f"power kernel exponent must be real, got {k!r}")
-        return cls("power", k)
+        return _Power(k)
 
     def __call__(self, y):
-        if self.tag == "power":
-            return _rational_pow(y, self.exponent)
         fy = float(y)
         if fy <= 1.0:
             raise DomainError(f"kernel {self.tag} undefined at {y}")
-        if self.tag == "inv_y_log_sq":
-            return 1.0 / (fy * math.log(fy) ** 2)
-        if self.tag == "inv_y_log":
-            return 1.0 / (fy * math.log(fy))
-        if self.tag == "inv_log":
-            return 1.0 / math.log(fy)
-        if self.tag == "y_over_log":
-            return fy / math.log(fy)
-        raise DomainError(f"unknown kernel tag {self.tag!r}")
-
-    @property
-    def lower_domain_edge(self):
-        """Largest value the integration lower bound must stay above."""
-        if self.tag == "power":
-            k = self.exponent
-            # negative powers blow up at 0; fractional powers need y > 0
-            if k < 0 or _integer_exponent(k) is None:
-                return 0.0
-            return None
-        return 1.0
+        return self._evaluate(fy)
 
     def check_interval(self, a, b):
         if a > b:
@@ -120,16 +104,42 @@ class Kernel:
             )
 
     def describe(self):
-        if self.tag == "power":
-            return f"y**{self.exponent}"
         return self.tag
 
 
-POWER_ZERO = Kernel.power(0)
-INV_Y_LOG_SQ = Kernel("inv_y_log_sq")
-INV_Y_LOG = Kernel("inv_y_log")
-INV_LOG = Kernel("inv_log")
-Y_OVER_LOG = Kernel("y_over_log")
+@dataclass(frozen=True)
+class _Power(Kernel):
+    """y**k; rational bases stay rational under an integral k."""
+
+    exponent: Real
+    integer_exponent: int | None = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "integer_exponent", _integer_exponent(self.exponent))
+
+    def __call__(self, y):
+        return _rational_pow(y, self.exponent)
+
+    @property
+    def lower_domain_edge(self):
+        # negative powers blow up at 0; fractional powers need y > 0
+        if self.exponent < 0 or self.integer_exponent is None:
+            return 0.0
+        return None
+
+    def antiderivative_diff(self, l, r):
+        ki = self.integer_exponent
+        m = (ki + 1) if ki is not None else float(self.exponent) + 1.0
+        if m == 0:
+            return _log_ratio(l, r)
+        return _pow_diff(l, r, m) / m
+
+    @property
+    def density_partner(self):
+        return _Power(self.exponent - 1)
+
+    def describe(self):
+        return f"y**{self.exponent}"
 
 
 def _integer_exponent(k):
@@ -184,30 +194,23 @@ def _log_ratio(l, r):
     return math.log1p((r - l) / l)
 
 
-def _antiderivative_diff(kernel, l, r):
-    """Integral of the kernel alone over [l, r] in floats, via its
-    antiderivative.
-
-    Returns None for kernels without an elementary antiderivative; the
-    caller falls back to quadrature.  Exact power integrals go through
-    _exact_power_integral instead.
-    """
-    if kernel.tag == "power":
-        k = kernel.exponent
-        lf, rf = float(l), float(r)
-        ki = _integer_exponent(k)
-        m = (ki + 1) if ki is not None else float(k) + 1.0
-        if m == 0:
-            return _log_ratio(lf, rf)
-        return _pow_diff(lf, rf, m) / m
-    lf, rf = float(l), float(r)
-    if kernel.tag == "inv_y_log_sq":
-        # antiderivative -1/log y
-        return _log_ratio(lf, rf) / (math.log(lf) * math.log(rf))
-    if kernel.tag == "inv_y_log":
-        # antiderivative log log y
-        return math.log1p(_log_ratio(lf, rf) / math.log(lf))
-    return None
+POWER_ZERO = Kernel.power(0)
+INV_Y_LOG_SQ = Kernel(
+    "inv_y_log_sq",
+    lambda y: 1.0 / (y * math.log(y) ** 2),
+    # antiderivative -1/log y
+    lambda l, r: _log_ratio(l, r) / (math.log(l) * math.log(r)),
+    Kernel("inv_y_sq_log_sq", lambda y: 1.0 / (y * y * math.log(y) ** 2), None, None),
+)
+INV_Y_LOG = Kernel(
+    "inv_y_log",
+    lambda y: 1.0 / (y * math.log(y)),
+    # antiderivative log log y
+    lambda l, r: math.log1p(_log_ratio(l, r) / math.log(l)),
+    Kernel("inv_y_sq_log", lambda y: 1.0 / (y * y * math.log(y)), None, None),
+)
+INV_LOG = Kernel("inv_log", lambda y: 1.0 / math.log(y), None, INV_Y_LOG)
+Y_OVER_LOG = Kernel("y_over_log", lambda y: y / math.log(y), None, INV_LOG)
 
 
 # =====================================================================
@@ -270,10 +273,6 @@ class JumpSeries:
     @property
     def weights(self):
         return self._weights
-
-    @property
-    def atoms(self):
-        return tuple(Atom(l, w) for l, w in zip(self._locations, self._weights))
 
     @property
     def domain_min(self):
@@ -403,35 +402,29 @@ def integrate_kernel_times_step(series, kernel, a, b):
     _check_finite_point(a)
     _check_finite_point(b)
     kernel.check_interval(a, b)
+    ki = kernel.integer_exponent
     exact = (
         series.is_exact
         and isinstance(a, Rational)
         and isinstance(b, Rational)
-        and kernel.tag == "power"
-        and _integer_exponent(kernel.exponent) is not None
-        and _integer_exponent(kernel.exponent) != -1
+        and ki is not None
+        and ki != -1
     )
     if a == b or len(series) == 0:
         return 0 if exact else 0.0
 
     if exact:
-        return _exact_power_integral(
-            series, _integer_exponent(kernel.exponent) + 1, a, b
-        )
+        return _exact_power_integral(series, ki + 1, a, b)
 
+    antiderivative_diff = kernel.antiderivative_diff
     terms = []
     for left, right, value in _segments(series, a, b):
         if value == 0:
             continue
-        diff = _antiderivative_diff(kernel, left, right)
-        if diff is None:
-            diff, _ = quadrature.integrate(
-                kernel,
-                float(left),
-                float(right),
-                abs_tol=QUAD_ABS_TOL,
-                max_panels=QUAD_MAX_PANELS,
-            )
+        if antiderivative_diff is None:
+            diff, _ = quadrature.integrate(kernel, float(left), float(right))
+        else:
+            diff = antiderivative_diff(float(left), float(right))
         terms.append(float(value) * diff)
     return math.fsum(terms)
 
@@ -549,28 +542,14 @@ class StepPlusSmooth:
 
 
 def _density_integral(kernel, a, b):
-    """Integral over [a, b] of kernel(y) * (-1/y), the NEG_LOG density part.
-
-    Closed forms exist when kernel(y)/y has an elementary antiderivative:
-    power kernels shift the exponent down by one, and 1/log y turns into
-    1/(y log y).  The rest goes through adaptive quadrature.
-    """
-    if kernel.tag == "power":
-        shifted = Kernel.power(kernel.exponent - 1)
-        return -_antiderivative_diff(shifted, a, b)
-    if kernel.tag == "inv_log":
-        return -_antiderivative_diff(INV_Y_LOG, a, b)
-    if kernel.tag == "y_over_log":
-        product = INV_LOG
-    elif kernel.tag == "inv_y_log":
-        product = lambda y: 1.0 / (y * y * math.log(y))
-    elif kernel.tag == "inv_y_log_sq":
-        product = lambda y: 1.0 / (y * y * math.log(y) ** 2)
+    """Integral over [a, b] of kernel(y) * (-1/y), the NEG_LOG density part:
+    minus the integral of the kernel's density partner, in closed form
+    where the partner has an elementary antiderivative."""
+    partner = kernel.density_partner
+    if partner.antiderivative_diff is None:
+        value, _ = quadrature.integrate(partner, a, b)
     else:
-        raise DomainError(f"unknown kernel tag {kernel.tag!r}")
-    value, _ = quadrature.integrate(
-        product, a, b, abs_tol=QUAD_ABS_TOL, max_panels=QUAD_MAX_PANELS
-    )
+        value = partner.antiderivative_diff(a, b)
     return -value
 
 
@@ -594,8 +573,7 @@ def stieltjes_integrate(kernel, measure, a, b):
     exact = (
         measure.smooth is SmoothTerm.NONE
         and series.is_exact
-        and kernel.tag == "power"
-        and _integer_exponent(kernel.exponent) is not None
+        and kernel.integer_exponent is not None
     )
     if exact:
         total = 0

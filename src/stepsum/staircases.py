@@ -47,7 +47,7 @@ class _Prepared:
 
 
 _PREPARED = weakref.WeakKeyDictionary()
-# sweeps with jobs > 1 query one table from several threads
+# callers may query one table from several threads
 _LOCK = threading.Lock()
 
 

@@ -1,21 +1,26 @@
 """Sweep drivers: run identity routes against their direct oracles.
 
-run_sweep covers the pointwise identities (one x per report).  The
-set-based identities (count, power_sum, reciprocal_power_sum) have no
-natural pointwise form; random_set_sweep owns them, generating seeded
+ROUTES is the one table of ways to compute a function at a point; the
+CLI's ``compute`` and the pointwise sweeps both dispatch from it.
+run_sweep covers the pointwise identities (one x per report): each
+pairs an identity route with the direct route of the same function.
+The set-based identities (count, power_sum, reciprocal_power_sum) have
+no natural pointwise form; random_set_sweep owns them, generating seeded
 random finite sets and checking every requested exponent per set.
 increment_sweep covers the subinterval check.
 
 Determinism: all randomness flows from one random.Random(seed), and
 drawing is separated from evaluation, so reports come back in the same
-order (and with the same content) regardless of the job count.
+order and with the same content on every run.  Sweeps run serially:
+the work holds the interpreter lock, and threads made no sweep faster.
+Their ``jobs`` keyword is accepted for compatibility and ignored.
 """
 
 import math
 import random
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import analytic, identities
 from .errors import ConfigurationError, DomainError, PanelBudgetError, RangeError
@@ -23,6 +28,9 @@ from .jump_series import JumpSeries
 from .report import IdentityId, error_report, make_report
 
 __all__ = [
+    "Route",
+    "ROUTES",
+    "POINTWISE",
     "run_sweep",
     "random_set_sweep",
     "increment_sweep",
@@ -32,109 +40,135 @@ __all__ = [
 
 MIN_PAIRWISE_GAP = 1e-6
 
-_SET_BASED = frozenset(
-    {IdentityId.COUNT, IdentityId.POWER_SUM, IdentityId.RECIPROCAL_POWER_SUM}
-)
-_NATURALS = frozenset(
-    {IdentityId.HARMONIC, IdentityId.FLOOR, IdentityId.TRIANGULAR}
-)
-_FLOAT_ONLY = frozenset({IdentityId.PRIME_COUNT_LI, IdentityId.HP_MERTENS})
+
+class Route(NamedTuple):
+    """One way to compute one function: ``call(table, x, exact)``.
+
+    ``exact``: the route has an exact mode (float-only routes ignore the
+    flag).  ``needs_table``: ``call`` reads a prime table sieved to at
+    least x; otherwise it gets None.  ``lower``: where the domain starts,
+    1 for the naturals and 2 for the primes.  ``compute``: offered by
+    ``stepsum compute``.
+    """
+
+    call: Callable
+    exact: bool = True
+    needs_table: bool = True
+    lower: float = 2.0
+    compute: bool = True
 
 
-def _map_ordered(fn, items, jobs):
-    if jobs <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+def _naturals(call, *, compute=True):
+    return Route(call, needs_table=False, lower=1.0, compute=compute)
 
 
-def _routes(identity, table, exact):
-    """Return (lhs_fn, rhs_fn) for a pointwise identity."""
-    if identity is IdentityId.HARMONIC:
-        return (
-            lambda x: identities.harmonic_via_identity(x, exact=exact),
-            lambda x: identities.harmonic_direct(x, exact=exact),
-        )
-    if identity is IdentityId.FLOOR:
-        return (
-            lambda x: identities.floor_via_identity(x, exact=exact),
-            lambda x: math.floor(x),
-        )
-    if identity is IdentityId.TRIANGULAR:
-        def direct_triangular(x):
-            n = math.floor(x)
-            return n * (n + 1) // 2
-        return (
-            lambda x: identities.triangular_via_identity(x, exact=exact),
-            direct_triangular,
-        )
-    if table is None:
-        raise ConfigurationError(f"{identity.value} needs a prime table")
-    if identity is IdentityId.PRIME_COUNT:
-        return (
-            lambda x: identities.prime_count_via_identity(table, x, exact=exact),
-            table.pi,
-        )
-    if identity is IdentityId.PRIME_SUM:
-        return (
-            lambda x: identities.prime_sum_via_identity(table, x, exact=exact),
-            lambda x: table.prime_power_sum(x, 1),
-        )
-    if identity is IdentityId.HP_PRIME_SUMS:
-        return (
-            lambda x: identities.prime_reciprocal_sum_via_prime_sums(
-                table, x, exact=exact
-            ),
-            lambda x: table.reciprocal_sum(x, exact=exact),
-        )
-    if identity is IdentityId.HP_FROM_PI:
-        return (
-            lambda x: identities.prime_reciprocal_sum_via_pi(table, x, exact=exact),
-            lambda x: table.reciprocal_sum(x, exact=exact),
-        )
-    if identity is IdentityId.PRIME_COUNT_LI:
-        return (lambda x: analytic.prime_count_via_li(table, x), table.pi)
-    if identity is IdentityId.HP_MERTENS:
-        return (
-            lambda x: analytic.prime_reciprocal_sum_via_mertens(table, x),
-            lambda x: table.reciprocal_sum(x),
-        )
-    raise ConfigurationError(f"no pointwise route for {identity.value}")
+def _triangular(x):
+    n = math.floor(x)
+    return n * (n + 1) // 2
 
 
-def run_sweep(identity, table, x_samples, *, k=None, tol=1e-9, exact=False, jobs=1):
+# (function, method) -> Route; a function's default method comes first.
+# The entries call the package modules and the table's methods through
+# attributes looked up at call time, so wrappers installed after import
+# see the calls.
+ROUTES = {
+    ("harmonic", "direct"): _naturals(
+        lambda t, x, e: identities.harmonic_direct(x, exact=e)
+    ),
+    ("harmonic", "identity"): _naturals(
+        lambda t, x, e: identities.harmonic_via_identity(x, exact=e)
+    ),
+    ("floor", "direct"): _naturals(lambda t, x, e: math.floor(x), compute=False),
+    ("floor", "identity"): _naturals(
+        lambda t, x, e: identities.floor_via_identity(x, exact=e), compute=False
+    ),
+    ("triangular", "direct"): _naturals(
+        lambda t, x, e: _triangular(x), compute=False
+    ),
+    ("triangular", "identity"): _naturals(
+        lambda t, x, e: identities.triangular_via_identity(x, exact=e), compute=False
+    ),
+    ("hp", "direct"): Route(lambda t, x, e: t.reciprocal_sum(x, exact=e)),
+    ("hp", "prime_sums"): Route(
+        lambda t, x, e: identities.prime_reciprocal_sum_via_prime_sums(t, x, exact=e)
+    ),
+    ("hp", "from_pi"): Route(
+        lambda t, x, e: identities.prime_reciprocal_sum_via_pi(t, x, exact=e)
+    ),
+    ("hp", "mertens"): Route(
+        lambda t, x, e: analytic.prime_reciprocal_sum_via_mertens(t, x), exact=False
+    ),
+    ("pi", "direct"): Route(lambda t, x, e: t.pi(x)),
+    ("pi", "identity"): Route(
+        lambda t, x, e: identities.prime_count_via_identity(t, x, exact=e)
+    ),
+    ("pi", "li"): Route(lambda t, x, e: analytic.prime_count_via_li(t, x), exact=False),
+    ("prime_sum", "direct"): Route(lambda t, x, e: t.prime_power_sum(x, 1)),
+    ("prime_sum", "identity"): Route(
+        lambda t, x, e: identities.prime_sum_via_identity(t, x, exact=e)
+    ),
+    ("li2", "direct"): Route(
+        lambda t, x, e: analytic.li_from_2(x).value, exact=False, needs_table=False
+    ),
+    ("r", "direct"): Route(
+        lambda t, x, e: analytic.mertens_remainder(t, x), exact=False
+    ),
+}
+# `compute mertens` is another name for `compute hp --method mertens`
+ROUTES["mertens", "direct"] = ROUTES["hp", "mertens"]
+
+# pointwise identity -> the (function, method) of its identity route; the
+# function's direct route is its oracle
+POINTWISE = {
+    IdentityId.HARMONIC: ("harmonic", "identity"),
+    IdentityId.FLOOR: ("floor", "identity"),
+    IdentityId.TRIANGULAR: ("triangular", "identity"),
+    IdentityId.PRIME_COUNT: ("pi", "identity"),
+    IdentityId.PRIME_SUM: ("prime_sum", "identity"),
+    IdentityId.HP_PRIME_SUMS: ("hp", "prime_sums"),
+    IdentityId.HP_FROM_PI: ("hp", "from_pi"),
+    IdentityId.PRIME_COUNT_LI: ("pi", "li"),
+    IdentityId.HP_MERTENS: ("hp", "mertens"),
+}
+
+
+def run_sweep(identity, table, x_samples, *, tol=1e-9, exact=False, jobs=1):
     """Evaluate a pointwise identity at each sample and report both sides.
 
     Samples that fall outside a route's domain, or whose quadrature runs
     out of panels, come back as failed error reports; the sweep keeps
-    going.  ``k`` is recorded in the reports but no pointwise identity
-    consumes it.  Set-based identities are rejected here (use
-    random_set_sweep) and the subinterval check likewise (use
-    increment_sweep).
+    going.  Set-based identities are rejected here (use random_set_sweep)
+    and the subinterval check likewise (use increment_sweep).  ``jobs`` is
+    accepted for compatibility; the sweep runs serially.
     """
-    if identity in _SET_BASED:
+    if identity not in POINTWISE:
         raise ConfigurationError(
-            f"{identity.value} checks random sets; use random_set_sweep"
+            f"{identity.value} is not pointwise; "
+            "use random_set_sweep or increment_sweep"
         )
-    if identity is IdentityId.HP_INCREMENT:
-        raise ConfigurationError("hp_increment sweeps intervals; use increment_sweep")
-    if exact and identity in _FLOAT_ONLY:
+    function, method = POINTWISE[identity]
+    lhs_route, rhs_route = ROUTES[function, method], ROUTES[function, "direct"]
+    if exact and not lhs_route.exact:
         raise ConfigurationError(f"{identity.value} has no exact mode")
-    lhs_fn, rhs_fn = _routes(identity, table, exact)
+    if table is None and lhs_route.needs_table:
+        raise ConfigurationError(f"{identity.value} needs a prime table")
 
     def evaluate(x):
         try:
-            lhs = lhs_fn(x)
-            rhs = rhs_fn(x)
+            lhs = lhs_route.call(table, x, exact)
+            rhs = rhs_route.call(table, x, exact)
         except (DomainError, RangeError, PanelBudgetError):
-            return error_report(identity, x, tol, k=k)
-        return make_report(identity, x, lhs, rhs, tol, k=k, exact=exact)
+            return error_report(identity, x, tol)
+        return make_report(identity, x, lhs, rhs, tol, exact=exact)
 
-    return _map_ordered(evaluate, list(x_samples), jobs)
+    return [evaluate(x) for x in x_samples]
 
 
 def increment_sweep(table, intervals, *, tol=1e-10, jobs=1):
-    """Run the reciprocal-sum increment check over (a, b) interval pairs."""
+    """Run the reciprocal-sum increment check over (a, b) interval pairs.
+
+    ``jobs`` is accepted for compatibility; the sweep runs serially.
+    """
 
     def evaluate(pair):
         a, b = pair
@@ -143,7 +177,7 @@ def increment_sweep(table, intervals, *, tol=1e-10, jobs=1):
         except (DomainError, RangeError, PanelBudgetError):
             return error_report(IdentityId.HP_INCREMENT, a, tol, k=b)
 
-    return _map_ordered(evaluate, list(intervals), jobs)
+    return [evaluate(pair) for pair in intervals]
 
 
 def random_intervals(seed, count, *, lo=2.0, hi=10**4):
@@ -283,7 +317,8 @@ def random_set_sweep(
     an evaluation point (an atom, a midpoint, or beyond the last atom), and
     compares every route against brute-force summation: rational equality
     in exact mode, the given tolerance in float mode.  Reports are ordered
-    by (trial, identity, k) and depend only on the seed.
+    by (trial, identity, k) and depend only on the seed.  ``jobs`` is
+    accepted for compatibility; the sweep runs serially.
     """
     if trials < 1:
         raise ConfigurationError(f"need at least one trial, got {trials}")
@@ -297,7 +332,7 @@ def random_set_sweep(
     for trial in range(trials):
         qs = _draw_set(rng, rng.randint(1, max_size))
         tasks.append((trial, qs, _draw_eval_point(rng, qs)))
-    per_task = _map_ordered(
-        lambda task: _check_one_set(task, tuple(k_set), tol, exact), tasks, jobs
-    )
-    return [report for group in per_task for report in group]
+    k_set = tuple(k_set)
+    return [
+        report for task in tasks for report in _check_one_set(task, k_set, tol, exact)
+    ]

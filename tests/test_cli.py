@@ -4,6 +4,7 @@ import csv
 import decimal
 import math
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -120,6 +121,23 @@ class TestCompute:
         assert out == ""
         assert "must be finite" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("compute", "harmonic", "--x", "1e12"),
+            ("verify", "--identity", "floor", "--xmax", "1e12", "--samples", "1"),
+        ],
+    )
+    def test_naturals_past_the_cap_is_resource_error(self, capsys, argv):
+        """The naturals' routes loop once per integer: past the sieve's cap
+        they refuse at once instead of running for hours."""
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert "exceeds the configured cap" in err
+
 
 # -----------------------------------------------------------------------
 # verify
@@ -175,6 +193,16 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "--jobs must be at least 1" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_tolerance_no_check_can_use_is_usage_error(self, capsys, tol):
+        code, out, err = run_cli(
+            capsys, "verify", "--identity", "harmonic", "--xmax", "10",
+            "--samples", "2", "--tol", tol,
+        )
+        assert code == 2
+        assert out == ""
+        assert "--tol must be finite and at least 0" in err
 
     def test_unknown_identity_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--identity", "zeta")

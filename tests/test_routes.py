@@ -1,0 +1,113 @@
+"""The route table: the `compute` surface, the pointwise identity pairs,
+and the names the benchmark's tracer wraps."""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+from stepsum import cli
+from stepsum.primes import PrimeTable
+from stepsum.report import IdentityId
+from stepsum.verify import POINTWISE, ROUTES
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# function -> its methods, default first, and the methods that reject --exact.
+# The README's "Functions and methods" paragraph says the same.
+COMPUTE_SURFACE = [
+    ("harmonic", ["direct", "identity"], []),
+    ("hp", ["direct", "prime_sums", "from_pi", "mertens"], ["mertens"]),
+    ("li2", ["direct"], ["direct"]),
+    ("mertens", ["direct"], ["direct"]),
+    ("pi", ["direct", "identity", "li"], ["li"]),
+    ("prime_sum", ["direct", "identity"], []),
+    ("r", ["direct"], ["direct"]),
+]
+
+
+def _load(name):
+    """A perfbench module, loaded from its file without touching sys.path."""
+    spec = importlib.util.spec_from_file_location(
+        f"_perfbench_{name}", PERFBENCH / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_cli(capsys, *argv):
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestComputeSurface:
+    def test_table_matches_the_pinned_surface(self):
+        functions = sorted({f for (f, _), route in ROUTES.items() if route.compute})
+        assert functions == [f for f, _, _ in COMPUTE_SURFACE]
+        for function, methods, float_only in COMPUTE_SURFACE:
+            assert [m for f, m in ROUTES if f == function] == methods
+            assert [m for m in methods if not ROUTES[function, m].exact] == float_only
+
+    def test_benchmark_plan_lists_the_same_routes(self):
+        routes = [
+            (function, method, method not in float_only)
+            for function, methods, float_only in COMPUTE_SURFACE
+            for method in methods
+        ]
+        assert sorted(routes) == sorted(_load("plan").COMPUTE_ROUTES)
+
+    @pytest.mark.parametrize("function, methods, float_only", COMPUTE_SURFACE)
+    def test_cli_offers_the_pinned_surface(self, capsys, function, methods, float_only):
+        code, _, err = run_cli(capsys, "compute", function, "--x", "10", "--method", "?")
+        assert code == 2
+        assert f"supports methods {', '.join(methods)};" in err
+        code, out, _ = run_cli(capsys, "compute", function, "--x", "10")
+        assert (code, out.split()[:2]) == (0, [function, methods[0]])
+        for method in methods:
+            argv = ["compute", function, "--x", "10", "--method", method, "--exact"]
+            code, _, err = run_cli(capsys, *argv)
+            if method in float_only:
+                assert (code, "no exact mode" in err) == (2, True)
+            else:
+                assert code == 0
+
+    @pytest.mark.parametrize("function", ["floor", "triangular"])
+    def test_verify_only_functions_are_not_computed(self, capsys, function):
+        code, _, err = run_cli(capsys, "compute", function, "--x", "10")
+        assert code == 2
+        assert "invalid choice" in err
+
+
+def test_every_pointwise_identity_has_a_route_pair():
+    not_pointwise = {
+        IdentityId.COUNT,
+        IdentityId.POWER_SUM,
+        IdentityId.RECIPROCAL_POWER_SUM,
+        IdentityId.HP_INCREMENT,
+    }
+    assert set(POINTWISE) == set(IdentityId) - not_pointwise
+    for function, method in POINTWISE.values():
+        identity_route = ROUTES[function, method]
+        direct_route = ROUTES[function, "direct"]
+        assert method != "direct"
+        assert identity_route.needs_table == direct_route.needs_table
+        assert identity_route.lower == direct_route.lower
+
+
+def test_every_name_the_tracer_wraps_exists():
+    """`run.py --trace 1` ends in AttributeError if a wrapped name is gone."""
+    tracer = _load("tracer")
+    for module_name, names in tracer.LAYER_FUNCTIONS.values():
+        module = importlib.import_module(module_name)
+        if names is None:
+            names = module.__all__
+            assert any(inspect.isfunction(getattr(module, n)) for n in names)
+        for name in names:
+            assert hasattr(module, name), f"{module_name}.{name}"
+    for name in tracer.ORACLE_METHODS:
+        assert hasattr(PrimeTable, name)
+    assert hasattr(importlib.import_module("stepsum.jump_series"), "JumpSeries")
