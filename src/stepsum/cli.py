@@ -225,9 +225,9 @@ def run_bench(x, reps):
     """Time the three harmonic routes; one warm-up call each is discarded."""
     if reps < 3:
         raise ConfigurationError(f"reps must be at least 3, got {reps}")
+    # before any loop: the naive route runs once per integer up to x
+    identities._check_at_least(x, 1, "bench argument")
     n = math.floor(x)
-    if n < 1:
-        raise DomainError(f"bench argument must be at least 1, got {x}")
     routes = [
         ("direct", lambda: _naive_harmonic(n)),
         ("direct_compensated", lambda: identities.harmonic_direct(x)),

@@ -2,10 +2,14 @@
 
 Every route here has the same shape.  A finite sum over atoms is rewritten
 as a boundary term at x plus an integral of the running step function, and
-the integral is evaluated in closed form by jump_series.  Each function has
-a direct-summation counterpart (in primes.PrimeTable or harmonic_direct)
-that serves as its oracle in the test suite; the two sides never share
-code beyond the input data.
+the integral is evaluated in closed form by jump_series.  The set routes
+and the prime routes are one Abel identity, written once in _abel: over
+the atoms (q, w) of a step F, the sum of w * q**m for q <= x is
+x**m * F(x) - m * integral of y**(m-1) * F(y); each route picks F and m.
+The naturals' harmonic route sums the floor function's segments itself.
+Each function has a direct-summation counterpart (in primes.PrimeTable or
+harmonic_direct) that serves as its oracle in the test suite; the two
+sides never share code beyond the input data.
 
 Float mode carries compensated summation end to end.  Exact mode accepts
 any rationals (int, Fraction, gmpy2.mpq) and turns every check into an
@@ -21,7 +25,6 @@ from .errors import DomainError, ResourceError
 from .jump_series import (
     JumpSeries,
     Kernel,
-    build_jump_series,
     integrate_kernel_times_step,
     _rational_pow,
 )
@@ -59,18 +62,28 @@ def _require_point_at_or_after(series, x):
         )
 
 
+def _abel(series, x, k, m):
+    """x**m * F(x) - m * integral of y**k * F(y) from the first jump to x.
+
+    The one Abel-summation step every set and prime route takes, with
+    m = k + 1.  Both exponents are passed, so neither is derived from the
+    other in float arithmetic.
+    """
+    _require_point_at_or_after(series, x)
+    boundary = _rational_pow(x, m) * series.value(x)
+    integral = integrate_kernel_times_step(
+        series, Kernel.power(k), series.domain_min, x
+    )
+    return boundary - m * integral
+
+
 def count_via_abel(series, x):
     """Number of atoms at or below x, recovered without counting.
 
     For the reciprocal series h (atoms (q, 1/q)) this is
     x*h(x) - integral of h from the first jump to x.
     """
-    _require_point_at_or_after(series, x)
-    boundary = x * series.value(x)
-    integral = integrate_kernel_times_step(
-        series, Kernel.power(0), series.domain_min, x
-    )
-    return boundary - integral
+    return _abel(series, x, 0, 1)
 
 
 def power_sum_via_abel(series, x, k):
@@ -81,12 +94,7 @@ def power_sum_via_abel(series, x, k):
     """
     if not isinstance(k, Real):
         raise DomainError(f"exponent must be real, got {k!r}")
-    _require_point_at_or_after(series, x)
-    boundary = _rational_pow(x, k + 1) * series.value(x)
-    integral = integrate_kernel_times_step(
-        series, Kernel.power(k), series.domain_min, x
-    )
-    return boundary - (k + 1) * integral
+    return _abel(series, x, k, k + 1)
 
 
 def reciprocal_power_sum_via_abel(cumulative_series, x, k):
@@ -100,12 +108,7 @@ def reciprocal_power_sum_via_abel(cumulative_series, x, k):
         raise DomainError(f"exponent must be real, got {k!r}")
     if k < 0:
         raise DomainError(f"exponent must be nonnegative, got {k}")
-    _require_point_at_or_after(cumulative_series, x)
-    boundary = cumulative_series.value(x) * _rational_pow(x, -(k + 1))
-    integral = integrate_kernel_times_step(
-        cumulative_series, Kernel.power(-(k + 2)), cumulative_series.domain_min, x
-    )
-    return boundary + (k + 1) * integral
+    return _abel(cumulative_series, x, -(k + 2), -(k + 1))
 
 
 # =====================================================================
@@ -137,9 +140,12 @@ def natural_reciprocal_series(n, *, exact=False):
     """The series with atoms (i, 1/i) for i = 1..n."""
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"need a positive int, got {n!r}")
+    # sorted, distinct, positive and nonzero by construction, so the atoms
+    # go straight to the constructor
+    ns = range(1, n + 1)
     if exact:
-        return build_jump_series((i, Fraction(1, i)) for i in range(1, n + 1))
-    return build_jump_series((float(i), 1.0 / i) for i in range(1, n + 1))
+        return JumpSeries(ns, (Fraction(1, i) for i in ns))
+    return JumpSeries(map(float, ns), (1.0 / i for i in ns))
 
 
 def harmonic_direct(x, *, exact=False):
@@ -219,23 +225,30 @@ def triangular_via_identity(x, *, exact=False):
 # The exact ones are built per query, straight from the sieve output, which
 # meets the JumpSeries contract: sorted, distinct, positive, no zero weight.
 
+# kind -> the exact weight of the prime p
+_EXACT_WEIGHTS = {
+    "reciprocal": lambda p: Fraction(1, p),
+    "prime": lambda p: p,
+    "count": lambda p: 1,
+}
 
-def _reciprocal_prime_series(table, x, exact):
+
+def _prime_series(table, kind, x, exact):
     if exact:
         ps = table.primes_leq(x).tolist()
-        return JumpSeries(ps, [Fraction(1, p) for p in ps])
-    return JumpSeries(*prime_staircase(table, "reciprocal", x))
+        return JumpSeries(ps, map(_EXACT_WEIGHTS[kind], ps))
+    return JumpSeries(*prime_staircase(table, kind, x))
 
 
 def prime_count_via_identity(table, x, *, exact=False):
     """pi(x) = x * h(x) - integral of h from 2 to x, h the prime reciprocal sum."""
-    series = _reciprocal_prime_series(table, x, exact)
+    series = _prime_series(table, "reciprocal", x, exact)
     return count_via_abel(series, _point(x, exact))
 
 
 def prime_sum_via_identity(table, x, *, exact=False):
     """Sum of primes <= x: x**2 * h(x) - 2 * integral of y * h(y)."""
-    series = _reciprocal_prime_series(table, x, exact)
+    series = _prime_series(table, "reciprocal", x, exact)
     return power_sum_via_abel(series, _point(x, exact), 1)
 
 
@@ -245,11 +258,7 @@ def prime_reciprocal_sum_via_prime_sums(table, x, *, exact=False):
     G(x)/x**2 + 2 * integral of G(y)/y**3 from 2 to x; the reciprocal
     power-sum route with k = 1 over the series with atoms (p, p).
     """
-    if exact:
-        ps = table.primes_leq(x).tolist()
-        series = JumpSeries(ps, ps)
-    else:
-        series = JumpSeries(*prime_staircase(table, "prime", x))
+    series = _prime_series(table, "prime", x, exact)
     return reciprocal_power_sum_via_abel(series, _point(x, exact), 1)
 
 
@@ -259,15 +268,5 @@ def prime_reciprocal_sum_via_pi(table, x, *, exact=False):
     pi(x)/x + integral from 2 to x of pi(y)/y**2; the step is the counting
     series with unit weights at the primes.
     """
-    if exact:
-        ps = table.primes_leq(x).tolist()
-        series = JumpSeries(ps, [1] * len(ps))
-    else:
-        series = JumpSeries(*prime_staircase(table, "count", x))
-    xq = _point(x, exact)
-    _require_point_at_or_after(series, xq)
-    boundary = series.value(xq) * _rational_pow(xq, -1)
-    integral = integrate_kernel_times_step(
-        series, Kernel.power(-2), series.domain_min, xq
-    )
-    return boundary + integral
+    series = _prime_series(table, "count", x, exact)
+    return _abel(series, _point(x, exact), -2, -1)

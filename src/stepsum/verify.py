@@ -258,47 +258,38 @@ def _direct_power_sum(ratios, k):
 
 def _check_one_set(task, k_set, tol, exact):
     trial, qs, x = task
-    reports = []
     count = bisect_right(qs, x)
     included = qs[:count]
     if exact:
         locs = [Fraction(q) for q in qs]
         xq = Fraction(x)
-        h = JumpSeries(locs, [1 / q for q in locs])
-        g = JumpSeries(locs, locs)
         ratios = [q.as_integer_ratio() for q in included]
-        lhs = identities.count_via_abel(h, xq)
-        reports.append(make_report(IdentityId.COUNT, x, lhs, count, tol, exact=True))
-        for k in k_set:
-            lhs = identities.power_sum_via_abel(h, xq, k)
-            rhs = _direct_power_sum(ratios, k)
-            reports.append(
-                make_report(IdentityId.POWER_SUM, x, lhs, rhs, tol, k=k, exact=True)
-            )
-        for k in k_set:
-            lhs = identities.reciprocal_power_sum_via_abel(g, xq, k)
-            rhs = _direct_power_sum(ratios, -k)
-            reports.append(
-                make_report(
-                    IdentityId.RECIPROCAL_POWER_SUM, x, lhs, rhs, tol, k=k, exact=True
-                )
-            )
-        return reports
-    h = JumpSeries(qs, [1.0 / q for q in qs])
-    g = JumpSeries(qs, qs)
-    lhs = identities.count_via_abel(h, x)
-    reports.append(make_report(IdentityId.COUNT, x, lhs, count, tol))
-    for k in k_set:
-        lhs = identities.power_sum_via_abel(h, x, k)
-        rhs = math.fsum(q**k for q in included)
-        reports.append(make_report(IdentityId.POWER_SUM, x, lhs, rhs, tol, k=k))
-    for k in k_set:
-        lhs = identities.reciprocal_power_sum_via_abel(g, x, k)
-        rhs = math.fsum(q ** (-k) for q in included)
-        reports.append(
-            make_report(IdentityId.RECIPROCAL_POWER_SUM, x, lhs, rhs, tol, k=k)
-        )
-    return reports
+
+        def direct(k):
+            return _direct_power_sum(ratios, k)
+
+    else:
+        locs, xq = qs, x
+
+        def direct(k):
+            return math.fsum(q**k for q in included)
+
+    h = JumpSeries(locs, [1 / q for q in locs])
+    g = JumpSeries(locs, locs)
+    power = {k: identities.power_sum_via_abel(h, xq, k) for k in k_set}
+    # the count is the k = 0 power sum: reuse its integral when there is one
+    counted = power[0] if 0 in power else identities.count_via_abel(h, xq)
+    checks = [(IdentityId.COUNT, None, counted, count)]
+    checks += [(IdentityId.POWER_SUM, k, power[k], direct(k)) for k in k_set]
+    reciprocal = identities.reciprocal_power_sum_via_abel
+    checks += [
+        (IdentityId.RECIPROCAL_POWER_SUM, k, reciprocal(g, xq, k), direct(-k))
+        for k in k_set
+    ]
+    return [
+        make_report(identity, x, lhs, rhs, tol, k=k, exact=exact)
+        for identity, k, lhs, rhs in checks
+    ]
 
 
 def random_set_sweep(

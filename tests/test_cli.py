@@ -293,3 +293,16 @@ class TestBench:
             capsys, "bench", "--op", "zeta", "--x", "10", "--reps", "3"
         )
         assert code == 2
+
+    @pytest.mark.parametrize("x", ["nan", "inf", "1e12"])
+    def test_argument_checked_before_any_loop(self, capsys, x):
+        """Non-finite or past-the-cap x is refused before any timed or
+        warm-up call, with the naturals' domain/resource exit code."""
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "bench", "--op", "harmonic", "--x", x, "--reps", "3"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: bench argument")

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import islice
 
@@ -85,6 +86,22 @@ class TestSetRoutes:
         x = max(elements)
         assert power_sum_via_abel(h, x, 2) == sum(q**2 for q in elements)
 
+    @pytest.mark.parametrize("k", [0.1, 0.5, 1.7, 3.3])
+    def test_non_integer_exponents_match_direct_sums(self, k):
+        """Both set routes at a real exponent, against sums over the atoms."""
+        rng = random.Random(f"non-integer exponent {k}")
+        for _ in range(20):
+            qs = sorted({rng.uniform(1.0, 1000.0) for _ in range(rng.randint(1, 60))})
+            x = rng.uniform(qs[0], 1000.0)
+            included = [q for q in qs if q <= x]
+            h = build_jump_series((q, 1.0 / q) for q in qs)
+            g = build_jump_series((q, q) for q in qs)
+            want = math.fsum(q**k for q in included)
+            assert power_sum_via_abel(h, x, k) == pytest.approx(want, rel=1e-12)
+            want = math.fsum(q**-k for q in included)
+            got = reciprocal_power_sum_via_abel(g, x, k)
+            assert got == pytest.approx(want, rel=1e-12)
+
 
 # -----------------------------------------------------------------------
 # Harmonic numbers
@@ -159,6 +176,17 @@ class TestFloorTriangular:
     def test_series_validation(self):
         with pytest.raises(DomainError):
             natural_reciprocal_series(0)
+
+    @pytest.mark.parametrize("route", [floor_via_identity, triangular_via_identity])
+    def test_memory_at_1e5(self, route):
+        """The naturals' staircase at x = 10**5 peaks below 16 MB."""
+        tracemalloc.start()
+        try:
+            route(10**5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
 
 # -----------------------------------------------------------------------

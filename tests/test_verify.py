@@ -4,8 +4,9 @@ import math
 
 import pytest
 
-from stepsum import analytic, quadrature
+from stepsum import analytic, identities, quadrature
 from stepsum.errors import ConfigurationError, PanelBudgetError
+from stepsum.jump_series import integrate_kernel_times_step
 from stepsum.primes import sieve
 from stepsum.report import IdentityId
 from stepsum.verify import (
@@ -127,6 +128,22 @@ class TestRandomSetSweep:
     def test_float_mode_within_tolerance(self):
         reports = random_set_sweep(7, 10, max_size=40, tol=1e-10)
         assert all(r.passed for r in reports)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_one_set_takes_eight_integrals(self, monkeypatch, exact):
+        """Count, four power sums and four reciprocal power sums share the
+        k = 0 integral: 8 integrals per set, not 9."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return integrate_kernel_times_step(*args)
+
+        monkeypatch.setattr(identities, "integrate_kernel_times_step", counted)
+        reports = random_set_sweep(5, 1, exact=exact)
+        assert len(reports) == 9
+        assert all(r.passed for r in reports)
+        assert len(calls) == 8
 
     def test_validation(self):
         with pytest.raises(ConfigurationError, match="trial"):
