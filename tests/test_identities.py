@@ -26,7 +26,12 @@ from stepsum.identities import (
     reciprocal_power_sum_via_abel,
     triangular_via_identity,
 )
-from stepsum.jump_series import build_jump_series
+from stepsum.jump_series import (
+    Kernel,
+    build_jump_series,
+    integrate_kernel_times_step,
+    _rational_pow,
+)
 from stepsum.primes import sieve
 
 
@@ -86,9 +91,12 @@ class TestSetRoutes:
         x = max(elements)
         assert power_sum_via_abel(h, x, 2) == sum(q**2 for q in elements)
 
-    @pytest.mark.parametrize("k", [0.1, 0.5, 1.7, 3.3])
+    # (k + 1) - 1 != k at 0.1 and 1.7 and -(k + 2) + 1 != -(k + 1) at 0.2
+    # and 0.7: exponents where deriving one from the other can change bits
+    @pytest.mark.parametrize("k", [0.1, 0.2, 0.5, 0.7, 1.7, 3.3])
     def test_non_integer_exponents_match_direct_sums(self, k):
-        """Both set routes at a real exponent, against sums over the atoms."""
+        """Both set routes at a real exponent, against sums over the atoms
+        and, bit for bit, against their Abel formula written out."""
         rng = random.Random(f"non-integer exponent {k}")
         for _ in range(20):
             qs = sorted({rng.uniform(1.0, 1000.0) for _ in range(rng.randint(1, 60))})
@@ -96,11 +104,14 @@ class TestSetRoutes:
             included = [q for q in qs if q <= x]
             h = build_jump_series((q, 1.0 / q) for q in qs)
             g = build_jump_series((q, q) for q in qs)
-            want = math.fsum(q**k for q in included)
-            assert power_sum_via_abel(h, x, k) == pytest.approx(want, rel=1e-12)
-            want = math.fsum(q**-k for q in included)
+            got = power_sum_via_abel(h, x, k)
+            assert got == pytest.approx(math.fsum(q**k for q in included), rel=1e-12)
+            integral = integrate_kernel_times_step(h, Kernel.power(k), qs[0], x)
+            assert got == _rational_pow(x, k + 1) * h.value(x) - (k + 1) * integral
             got = reciprocal_power_sum_via_abel(g, x, k)
-            assert got == pytest.approx(want, rel=1e-12)
+            assert got == pytest.approx(math.fsum(q**-k for q in included), rel=1e-12)
+            integral = integrate_kernel_times_step(g, Kernel.power(-(k + 2)), qs[0], x)
+            assert got == g.value(x) * _rational_pow(x, -(k + 1)) + (k + 1) * integral
 
 
 # -----------------------------------------------------------------------
