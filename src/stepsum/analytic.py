@@ -2,17 +2,16 @@
 remainder, and the identities that connect prime counts to them.
 
 Everything here is float-only; the logarithms rule out exact rationals.
-The one numerical subtlety worth naming: differences of log log values are
-always computed through the same cancellation-safe form the integrator
-uses for the 1/(y log y) antiderivative, so the pieces that cancel
-algebraically cancel bitwise here too (the boundary checks at x = 2
-come out exact because of it).
+The one numerical subtlety worth naming: li and log log differences are
+always computed through the same cancellation-safe closed forms the
+integrator uses for the 1/log y and 1/(y log y) antiderivatives, so the
+pieces that cancel algebraically cancel bitwise here too (the boundary
+checks at x = 2 come out exact because of it).
 """
 
 import math
 from dataclasses import dataclass
 
-from . import quadrature
 from .errors import DomainError
 from .jump_series import (
     INV_LOG,
@@ -22,6 +21,8 @@ from .jump_series import (
     JumpSeries,
     SmoothTerm,
     StepPlusSmooth,
+    _ei_diff,
+    _log_ratio,
     integrate_kernel_times_step,
     stieltjes_integrate,
 )
@@ -57,24 +58,21 @@ def _check_analytic_point(x, what="x"):
 
 
 def li_from_2(x):
-    """Integral of 1/log t from 2 to x, by adaptive quadrature.
+    """Integral of 1/log t from 2 to x, as Ei(log x) - Ei(log 2).
 
-    Starting at 2 keeps the singularity of 1/log t at t = 1 strictly
-    outside every panel, so no principal value is ever involved.
+    Starting at 2 keeps the singularity of 1/log t at t = 1 out of the
+    interval, so no principal value is ever involved.  The value and its
+    error bound come from the Ei difference INV_LOG's antiderivative sums,
+    so the li terms of prime_count_via_li cancel bitwise.
     """
     fx = _check_analytic_point(x)
-    value, err = quadrature.integrate(INV_LOG, 2.0, fx)
+    value, err = _ei_diff(math.log(2.0), _log_ratio(2.0, fx))
     return LiValue(x=fx, value=value, abs_err_bound=err)
 
 
 def _log_weight_series(table, x, *, above=None):
     """Atoms (p, log(p)/p) for primes p <= x, optionally only p > above."""
     return JumpSeries(*prime_staircase(table, "log_weight", x, above=above))
-
-
-def _log_log_diff(a, b):
-    """log log b - log log a, stable when b is near a (needs 1 < a <= b)."""
-    return INV_Y_LOG.antiderivative_diff(a, b)
 
 
 def mertens_remainder(table, x):
@@ -114,7 +112,7 @@ def prime_reciprocal_sum_via_mertens(table, x):
     """
     fx = _check_analytic_point(x)
     series = _log_weight_series(table, fx)
-    d = _log_log_diff(2.0, fx)
+    d = INV_Y_LOG.antiderivative_diff(2.0, fx)
     step_part = integrate_kernel_times_step(series, INV_Y_LOG_SQ, 2.0, fx)
     remainder = StepPlusSmooth(series, SmoothTerm.NEG_LOG).value(fx)
     return (1.0 + d) + (step_part - d) + remainder / math.log(fx)
@@ -136,7 +134,8 @@ def check_reciprocal_sum_increment(table, a, b, *, tol=1e-10):
     measure = StepPlusSmooth(
         _log_weight_series(table, fb, above=fa), SmoothTerm.NEG_LOG
     )
-    rhs = _log_log_diff(fa, fb) + stieltjes_integrate(INV_LOG, measure, fa, fb)
+    d = INV_Y_LOG.antiderivative_diff(fa, fb)
+    rhs = d + stieltjes_integrate(INV_LOG, measure, fa, fb)
     return make_report(
         IdentityId.HP_INCREMENT, x=fa, lhs=lhs, rhs=rhs, tol=tol, k=fb
     )

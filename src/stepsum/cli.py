@@ -22,7 +22,6 @@ from . import identities, verify
 from .errors import (
     ConfigurationError,
     DomainError,
-    PanelBudgetError,
     RangeError,
     ResourceError,
 )
@@ -330,7 +329,7 @@ def main(argv=None):
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, RangeError, ResourceError, PanelBudgetError) as exc:
+    except (DomainError, RangeError, ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

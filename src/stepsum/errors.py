@@ -2,8 +2,8 @@
 
 The distinction that matters downstream: DomainError and RangeError are
 argument problems (the CLI maps them to distinct exit codes), ResourceError
-and PanelBudgetError are refusals to start or finish a computation that
-would exceed a configured budget.
+is a refusal to start a computation that would exceed a configured budget,
+and PanelBudgetError comes only from the tests' reference quadrature.
 """
 
 __all__ = [
@@ -34,7 +34,7 @@ class ResourceError(StepSumError, RuntimeError):
 
 
 class PanelBudgetError(StepSumError, RuntimeError):
-    """Adaptive quadrature exhausted its panel budget before converging."""
+    """The reference quadrature, which no route calls, ran out of panels."""
 
 
 class ConfigurationError(StepSumError, ValueError):

@@ -6,8 +6,8 @@ set: F(x) = sum of weights at locations <= x.  Everything downstream
 integrals computed here:
 
 * integrate_kernel_times_step: the ordinary integral of kernel(y) * F(y),
-  evaluated segment by segment between jumps, in closed form whenever the
-  kernel has an elementary antiderivative;
+  evaluated segment by segment between jumps, in closed form for every
+  kernel;
 * stieltjes_integrate: the integral of a kernel against the measure dF
   (atoms sampled at their locations) plus an optional smooth density.
 
@@ -30,7 +30,6 @@ from itertools import accumulate
 from numbers import Integral, Rational, Real
 from typing import NamedTuple
 
-from . import quadrature
 from .errors import DomainError
 
 __all__ = [
@@ -54,28 +53,27 @@ __all__ = [
 
 
 class Kernel:
-    """An integrand shape with a known integration strategy.
+    """An integrand shape with a closed-form integral.
 
     Every kernel states in one place how to evaluate it, the largest value
     the integration lower bound must stay above (``lower_domain_edge``,
     None for no edge), its integral over [l, r] for floats l <= r
-    (``antiderivative_diff(l, r)``; None where there is no elementary
-    antiderivative and adaptive quadrature takes over), and its
-    ``density_partner``, the kernel of kernel(y) / y that the NEG_LOG
-    density integrates.  ``integer_exponent`` is the int k of y**k for an
-    integral k, which keeps rational data rational; None otherwise.
+    (``antiderivative_diff(l, r)``), and its ``density_partner``, the
+    kernel of kernel(y) / y that the NEG_LOG density integrates, or None.
+    ``integer_exponent`` is the int k of y**k for an integral k, which
+    keeps rational data rational; None otherwise.
 
     Instances of this class are kernels in log y, defined for y > 1 and
     evaluated in floats: the module constants INV_Y_LOG_SQ, INV_Y_LOG,
     INV_LOG and Y_OVER_LOG are 1/(y log^2 y), 1/(y log y), 1/log y and
-    y/log y, and the first two have elementary antiderivatives.
-    Kernel.power(k) is y**k.
+    y/log y; the last two integrate to li(y) and li(y**2), where li(y) =
+    Ei(log y) (_ei_diff).  Kernel.power(k) is y**k.
     """
 
     lower_domain_edge = 1.0
     integer_exponent = None
 
-    def __init__(self, tag, evaluate, antiderivative_diff, density_partner):
+    def __init__(self, tag, evaluate, antiderivative_diff, density_partner=None):
         self.tag = tag
         self._evaluate = evaluate
         self.antiderivative_diff = antiderivative_diff
@@ -194,23 +192,49 @@ def _log_ratio(l, r):
     return math.log1p((r - l) / l)
 
 
+def _ei_diff(u, d):
+    """(Ei(u + d) - Ei(u), an error bound) for u > 0 and d >= 0.
+
+    Ei(u) = gamma + log u + sum of u**n / (n * n!) (Abramowitz and Stegun
+    5.1.10); with s = u + d the difference is log1p(d/u) plus the positive
+    terms s**n / n! * (1 - (u/s)**n) / n, which past n = s - 1 shrink at
+    least by s/(n+1), which bounds the tail.  With u and d within 2 ulps
+    (log, log1p), the nth term is within 4n + 7 ulps and summing adds n/2.
+    """
+    eps = 2.0**-52
+    ell, s = math.log1p(d / u), u + d
+    total, weighted, a, n, tail = ell, 0.0, 1.0, 0, 0.0
+    while ell > 0:
+        n += 1
+        a *= s / n
+        term = a * -math.expm1(-n * ell) / n
+        total += term
+        weighted += n * term
+        if n + 1 > s and (tail := term * s / (n + 1 - s)) <= 0.25 * eps * total:
+            break
+    return total, (4.0 * eps) * weighted + (n + 16) * eps * total + tail
+
+
+def _ei_kernel(c):
+    """Integral of y**(c-1) / log y over [l, r]: li(r**c) - li(l**c)."""
+    return lambda l, r: _ei_diff(c * math.log(l), c * _log_ratio(l, r))[0]
+
+
 POWER_ZERO = Kernel.power(0)
 INV_Y_LOG_SQ = Kernel(
     "inv_y_log_sq",
     lambda y: 1.0 / (y * math.log(y) ** 2),
     # antiderivative -1/log y
     lambda l, r: _log_ratio(l, r) / (math.log(l) * math.log(r)),
-    Kernel("inv_y_sq_log_sq", lambda y: 1.0 / (y * y * math.log(y) ** 2), None, None),
 )
 INV_Y_LOG = Kernel(
     "inv_y_log",
     lambda y: 1.0 / (y * math.log(y)),
     # antiderivative log log y
     lambda l, r: math.log1p(_log_ratio(l, r) / math.log(l)),
-    Kernel("inv_y_sq_log", lambda y: 1.0 / (y * y * math.log(y)), None, None),
 )
-INV_LOG = Kernel("inv_log", lambda y: 1.0 / math.log(y), None, INV_Y_LOG)
-Y_OVER_LOG = Kernel("y_over_log", lambda y: y / math.log(y), None, INV_LOG)
+INV_LOG = Kernel("inv_log", lambda y: 1.0 / math.log(y), _ei_kernel(1.0), INV_Y_LOG)
+Y_OVER_LOG = Kernel("y_over_log", lambda y: y / math.log(y), _ei_kernel(2.0), INV_LOG)
 
 
 # =====================================================================
@@ -393,11 +417,10 @@ def integrate_kernel_times_step(series, kernel, a, b):
 
     F is constant between jumps, so the integral is the sum over constancy
     segments of the F-value times the kernel's antiderivative difference.
-    Kernels without an elementary antiderivative (1/log y, y/log y) use
-    adaptive quadrature on each segment.  Power kernels with an integral
-    exponent other than -1 keep rational data rational: the segments are
-    summed in Python ints (see _exact_power_integral) and the result is a
-    Fraction, or an int for k = 0 over integer data.
+    Power kernels with an integral exponent other than -1 keep rational
+    data rational: the segments are summed in Python ints (see
+    _exact_power_integral) and the result is a Fraction, or an int for
+    k = 0 over integer data.
     """
     _check_finite_point(a)
     _check_finite_point(b)
@@ -416,17 +439,10 @@ def integrate_kernel_times_step(series, kernel, a, b):
     if exact:
         return _exact_power_integral(series, ki + 1, a, b)
 
-    antiderivative_diff = kernel.antiderivative_diff
-    terms = []
-    for left, right, value in _segments(series, a, b):
-        if value == 0:
-            continue
-        if antiderivative_diff is None:
-            diff, _ = quadrature.integrate(kernel, float(left), float(right))
-        else:
-            diff = antiderivative_diff(float(left), float(right))
-        terms.append(float(value) * diff)
-    return math.fsum(terms)
+    diff = kernel.antiderivative_diff
+    return math.fsum(
+        float(v) * diff(float(l), float(r)) for l, r, v in _segments(series, a, b) if v
+    )
 
 
 def _scaled_point(value, loc_den):
@@ -541,31 +557,21 @@ class StepPlusSmooth:
         return float(base) - math.log(fx)
 
 
-def _density_integral(kernel, a, b):
-    """Integral over [a, b] of kernel(y) * (-1/y), the NEG_LOG density part:
-    minus the integral of the kernel's density partner, in closed form
-    where the partner has an elementary antiderivative."""
-    partner = kernel.density_partner
-    if partner.antiderivative_diff is None:
-        value, _ = quadrature.integrate(partner, a, b)
-    else:
-        value = partner.antiderivative_diff(a, b)
-    return -value
-
-
 def stieltjes_integrate(kernel, measure, a, b):
     """Integral of the kernel against dF over [a, b], endpoints inclusive.
 
     ``measure`` is a StepPlusSmooth (a bare JumpSeries is accepted and
     treated as having no smooth part).  Atoms with a <= location <= b
     contribute kernel(location) * weight; a NEG_LOG smooth part adds the
-    integral of kernel(y) * (-1/y) over [a, b].
+    integral of kernel(y) * (-1/y), minus that of the density partner.
     """
     if isinstance(measure, JumpSeries):
         measure = StepPlusSmooth(measure)
     _check_finite_point(a)
     _check_finite_point(b)
     kernel.check_interval(a, b)
+    if measure.smooth is SmoothTerm.NEG_LOG and kernel.density_partner is None:
+        raise DomainError(f"kernel {kernel.describe()} has no NEG_LOG density integral")
     series = measure.step
     locs = series.locations
     i0 = bisect_left(locs, a)
@@ -587,4 +593,4 @@ def stieltjes_integrate(kernel, measure, a, b):
         return atom_part
     if a == b:
         return atom_part
-    return atom_part + _density_integral(kernel, float(a), float(b))
+    return atom_part - kernel.density_partner.antiderivative_diff(float(a), float(b))

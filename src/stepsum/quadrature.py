@@ -1,4 +1,4 @@
-"""Adaptive composite Gauss-Legendre quadrature.
+"""Adaptive composite Gauss-Legendre quadrature; the package never calls it.
 
 The integrator drives a single 15-point Gauss-Legendre rule over a shrinking
 binary subdivision of the requested interval.  A panel is accepted when the

@@ -57,6 +57,22 @@ class TestLi:
         right, _ = integrate(INV_LOG, 300.0, 1000.0)
         assert whole == pytest.approx(left + right, abs=2e-12)
 
+    def test_error_bound_is_true_against_mpmath(self):
+        """|value - (li(x) - li(2))| <= abs_err_bound on every decade up to
+        1e308, and the value is within 1e-14 relative up to 1e8."""
+        mpmath = pytest.importorskip("mpmath")
+        xs = [2.0 * (1 + 1e-9), 2.5, 57685.85, 93317.26, 1.7e308]
+        xs += [m * 10.0**e for e in range(1, 308) for m in (1.0, 2.2, 4.7)]
+        with mpmath.workdps(40):
+            li2 = mpmath.li(2)
+            for x in xs:
+                out = li_from_2(x)
+                exact = mpmath.li(x) - li2
+                err = abs(mpmath.mpf(out.value) - exact)
+                assert err <= out.abs_err_bound, x
+                if x <= 1e8:
+                    assert err <= 1e-14 * exact, x
+
     def test_domain(self):
         with pytest.raises(DomainError, match="at least 2"):
             li_from_2(1.5)

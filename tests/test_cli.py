@@ -67,6 +67,17 @@ class TestCompute:
         assert code == 0
         assert out.startswith("li2 direct 10 ")
 
+    def test_li2_is_fast_and_true_where_quadrature_was_not(self, capsys):
+        """x = 93317.26 once took the adaptive quadrature seconds."""
+        mpmath = pytest.importorskip("mpmath")
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "compute", "li2", "--x", "93317.26")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        with mpmath.workdps(30):
+            exact = float(mpmath.li(93317.26) - mpmath.li(2))
+        assert float(out.split()[-1]) == pytest.approx(exact, rel=1e-12)
+
     def test_method_pairing_enforced(self, capsys):
         code, _, err = run_cli(
             capsys, "compute", "li2", "--x", "10", "--method", "identity"

@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stepsum import jump_series, quadrature
 from stepsum.errors import DomainError
 from stepsum.jump_series import (
     INV_LOG,
     INV_Y_LOG,
+    INV_Y_LOG_SQ,
     POWER_ZERO,
+    Y_OVER_LOG,
     Kernel,
     SmoothTerm,
     StepPlusSmooth,
@@ -137,6 +140,23 @@ class TestKernels:
         with pytest.raises(DomainError, match="out of order"):
             POWER_ZERO.check_interval(5, 3)
 
+    def test_every_exported_kernel_has_a_closed_form(self):
+        kernels = [
+            getattr(jump_series, name)
+            for name in jump_series.__all__
+            if isinstance(getattr(jump_series, name), Kernel)
+        ]
+        assert len(kernels) == 5
+        assert all(callable(k.antiderivative_diff) for k in kernels)
+
+    @pytest.mark.parametrize(
+        "l, r", [(2.0, 10.0), (3.0, 50.0), (99991.0, 100003.0), (2.0, 2.0001)]
+    )
+    @pytest.mark.parametrize("kernel", [INV_LOG, Y_OVER_LOG])
+    def test_ei_kernels_match_reference_quadrature(self, kernel, l, r):
+        reference, _ = quadrature.integrate(kernel, l, r)
+        assert kernel.antiderivative_diff(l, r) == pytest.approx(reference, rel=1e-12)
+
     def test_negative_power_needs_positive_lower_bound(self):
         with pytest.raises(DomainError, match="exceed"):
             Kernel.power(-2).check_interval(0, 3)
@@ -195,8 +215,9 @@ class TestIntegrateKernelTimesStep:
         b = integrate_kernel_times_step(inexact, Kernel.power(2), 2.0, 10.0)
         assert b == pytest.approx(float(a), rel=1e-14)
 
-    def test_quadrature_fallback_matches_li(self):
-        """A unit step from 2 against 1/log y reproduces the offset li."""
+    def test_closed_form_inv_log_matches_li(self):
+        """A unit step from 2 against 1/log y reproduces the offset li
+        through the kernel's closed-form Ei difference."""
         s = build_jump_series([(2.0, 1.0)])
         out = integrate_kernel_times_step(s, INV_LOG, 2.0, 10.0)
         assert out == pytest.approx(LI2_10, abs=1e-10)
@@ -303,6 +324,13 @@ class TestStieltjes:
         m = StepPlusSmooth(s, SmoothTerm.NEG_LOG)
         out = stieltjes_integrate(POWER_ZERO, m, 4.0, 6.0)
         assert out == pytest.approx(2.0 - math.log(6.0 / 4.0), rel=1e-14)
+
+    @pytest.mark.parametrize("kernel", [INV_Y_LOG, INV_Y_LOG_SQ])
+    def test_neg_log_density_needs_a_density_partner(self, kernel):
+        s = build_jump_series([(5.0, 2.0)])
+        m = StepPlusSmooth(s, SmoothTerm.NEG_LOG)
+        with pytest.raises(DomainError, match="NEG_LOG"):
+            stieltjes_integrate(kernel, m, 2.0, 10.0)
 
     def test_bare_series_accepted(self):
         s = build_jump_series([(4, 3)])

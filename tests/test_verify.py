@@ -1,25 +1,37 @@
 """Sweep drivers: determinism, ordering, error handling, configuration."""
 
 import math
+import random
+import time
 
 import pytest
 
-from stepsum import analytic, identities, quadrature
-from stepsum.errors import ConfigurationError, PanelBudgetError
+from stepsum import identities, verify
+from stepsum.errors import ConfigurationError
 from stepsum.jump_series import integrate_kernel_times_step
 from stepsum.primes import sieve
 from stepsum.report import IdentityId
 from stepsum.verify import (
+    MAX_SET_SIZE,
     increment_sweep,
     random_intervals,
     random_set_sweep,
     run_sweep,
 )
 
+# x at which the adaptive quadrature that li once came from ran out of
+# panels or took seconds
+FORMER_PANEL_BUDGET_POINTS = [28424.42, 57685.85, 93317.26]
+
 
 @pytest.fixture(scope="module")
 def table():
     return sieve(2000)
+
+
+@pytest.fixture(scope="module")
+def table_1e5():
+    return sieve(10**5)
 
 
 # -----------------------------------------------------------------------
@@ -46,19 +58,13 @@ class TestRunSweep:
         assert [r.passed for r in reports] == [True, False, True]
         assert math.isnan(reports[1].lhs)
 
-    def test_panel_budget_error_fails_only_its_sample(self, table, monkeypatch):
-        integrate = quadrature.integrate
-
-        def budget_runs_out_at_50(f, a, b, **kwargs):
-            if b == 50.0:
-                raise PanelBudgetError("out of panels")
-            return integrate(f, a, b, **kwargs)
-
-        monkeypatch.setattr(quadrature, "integrate", budget_runs_out_at_50)
-        reports = run_sweep(IdentityId.PRIME_COUNT_LI, table, [10.0, 50.0, 90.0])
-        assert [r.passed for r in reports] == [True, False, True]
-        assert [r.x for r in reports] == [10.0, 50.0, 90.0]
-        assert math.isnan(reports[1].lhs)
+    def test_former_panel_budget_points_pass(self, table_1e5):
+        start = time.perf_counter()
+        reports = run_sweep(
+            IdentityId.PRIME_COUNT_LI, table_1e5, FORMER_PANEL_BUDGET_POINTS
+        )
+        assert time.perf_counter() - start < 1.0
+        assert [r.passed for r in reports] == [True, True, True]
 
     def test_naturals_identities_need_no_table(self):
         reports = run_sweep(IdentityId.HARMONIC, None, [1.0, 7.5, 100.0])
@@ -155,6 +161,18 @@ class TestRandomSetSweep:
         with pytest.raises(ConfigurationError, match="exponents"):
             random_set_sweep(1, 1, k_set=(0.5,))
 
+    def test_set_size_cap(self):
+        """Past MAX_SET_SIZE a draw almost never meets the gap rule, and the
+        rejection loop would run without bound; at the cap it passes."""
+        with pytest.raises(ConfigurationError, match="size"):
+            random_set_sweep(1, 1, max_size=MAX_SET_SIZE + 1)
+        start = time.perf_counter()
+        qs = verify._draw_set(random.Random(1), MAX_SET_SIZE)
+        assert len(qs) == MAX_SET_SIZE
+        reports = random_set_sweep(1, 1, max_size=MAX_SET_SIZE, k_set=(0, 1))
+        assert time.perf_counter() - start < 5.0
+        assert all(r.passed for r in reports)
+
 
 # -----------------------------------------------------------------------
 # Interval sweeps
@@ -172,6 +190,14 @@ class TestIncrementSweep:
         with pytest.raises(ConfigurationError):
             random_intervals(3, 0)
 
+    @pytest.mark.parametrize(
+        "lo, hi", [(10.0, 5.0), (5.0, 5.0), (2.0, math.nan), (2.0, math.inf)]
+    )
+    def test_random_intervals_need_a_finite_nonempty_range(self, lo, hi):
+        """Such a range used to keep the rejection loop drawing forever."""
+        with pytest.raises(ConfigurationError, match="lo < hi"):
+            random_intervals(1, 1, lo=lo, hi=hi)
+
     def test_sweep_passes(self, table):
         intervals = random_intervals(9, 20, hi=2000.0)
         reports = increment_sweep(table, intervals, tol=1e-10)
@@ -184,21 +210,11 @@ class TestIncrementSweep:
         b = increment_sweep(table, intervals, jobs=4)
         assert a == b
 
-    def test_panel_budget_error_fails_only_its_interval(self, table, monkeypatch):
-        check = analytic.check_reciprocal_sum_increment
-
-        def budget_runs_out_at_50(table, a, b, **kwargs):
-            if b == 50.0:
-                raise PanelBudgetError("out of panels")
-            return check(table, a, b, **kwargs)
-
-        monkeypatch.setattr(
-            analytic, "check_reciprocal_sum_increment", budget_runs_out_at_50
-        )
-        reports = increment_sweep(table, [(2.0, 10.0), (3.0, 50.0), (5.0, 90.0)])
-        assert [r.passed for r in reports] == [True, False, True]
-        assert (reports[1].x, reports[1].k) == (3.0, 50.0)
-        assert math.isnan(reports[1].lhs)
+    def test_former_panel_budget_interval_passes(self, table_1e5):
+        start = time.perf_counter()
+        reports = increment_sweep(table_1e5, [(2.0, FORMER_PANEL_BUDGET_POINTS[-1])])
+        assert time.perf_counter() - start < 1.0
+        assert reports[0].passed
 
     def test_out_of_range_interval_fails_its_report(self, table):
         reports = increment_sweep(table, [(2.0, 10.0), (2.0, 99999.0)])
