@@ -9,14 +9,13 @@ CSV), bench (time the harmonic routes).  Exit codes: 0 success / all pass,
 import argparse
 import csv
 import decimal
+import functools
 import math
 import statistics
 import sys
 import time
 from dataclasses import dataclass
 from numbers import Rational
-
-import numpy as np
 
 from . import identities, verify
 from .errors import (
@@ -139,6 +138,10 @@ def write_csv(path, reports):
 def _sample_grid(lower, xmax, samples, table):
     """Log-spaced samples from ``lower`` plus every atom below min(xmax, 100):
     the naturals without a table, its primes with one."""
+    # imported here, so that only a pointwise sweep loads numpy; the grid
+    # is np.geomspace's, bit for bit, as the benchmark's checks expect
+    import numpy as np
+
     grid = [float(v) for v in np.geomspace(lower, xmax, samples)]
     atom_cut = min(xmax, 100.0)
     if table is None:
@@ -318,10 +321,16 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser of this process, built on first use: building one costs
+    more than parsing a short argv."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -4,13 +4,16 @@ PrimeTable is immutable once sieved; every query walks the stored prime
 array.  The summation methods here are deliberately plain (compensated
 float sums, exact Python integers, exact rationals) because they serve as
 the direct side of every identity check in this package.  Keep them boring.
+Only the standard library is imported, so a process that sieves and
+queries never loads numpy.
 """
 
 import math
+from array import array
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import compress
 from numbers import Rational, Real
-
-import numpy as np
 
 from .errors import DomainError, RangeError, ResourceError
 
@@ -20,10 +23,11 @@ DEFAULT_LIMIT_CAP = 10**8
 
 
 def sieve(limit, *, limit_cap=DEFAULT_LIMIT_CAP):
-    """Sieve of Eratosthenes up to ``limit`` inclusive.
+    """Sieve of Eratosthenes up to ``limit`` inclusive, over the odd numbers.
 
-    ``limit_cap`` bounds the bitset allocation (one byte per integer);
-    asking for more raises ResourceError rather than attempting it.
+    The flags take one byte per odd integer up to ``limit``, about
+    limit/2 bytes; ``limit_cap`` bounds that allocation, and asking for
+    more raises ResourceError rather than attempting it.
     """
     if not isinstance(limit, int) or isinstance(limit, bool):
         raise DomainError(f"sieve limit must be an int, got {limit!r}")
@@ -33,18 +37,27 @@ def sieve(limit, *, limit_cap=DEFAULT_LIMIT_CAP):
         raise ResourceError(
             f"sieve limit {limit} exceeds the configured cap {limit_cap}"
         )
-    is_prime = np.ones(limit + 1, dtype=bool)
-    is_prime[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if is_prime[p]:
-            is_prime[p * p :: p] = False
-    primes = np.flatnonzero(is_prime)
-    primes.flags.writeable = False
-    return PrimeTable(limit, primes)
+    # flag i stands for the odd number 2*i + 1; 1 is not prime
+    size = (limit + 1) // 2
+    is_prime = bytearray(b"\x01") * size
+    is_prime[0] = 0
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if is_prime[i]:
+            p = 2 * i + 1
+            # p*p is the first odd multiple left; odd multiples are 2p apart
+            start = p * p // 2
+            is_prime[start::p] = bytes((size - 1 - start) // p + 1)
+    primes = array("q", [2])
+    primes.extend(compress(range(1, limit + 1, 2), is_prime))
+    return PrimeTable(limit, memoryview(primes).toreadonly())
 
 
 class PrimeTable:
     """Primes up to a fixed limit, with query methods used as oracles.
+
+    ``primes`` is a read-only sequence of the primes as Python ints, in
+    increasing order: it indexes, slices, iterates, has a length, and
+    ``.tolist()`` copies it into a list.
 
     Weakly referenceable, so that prepared staircases (stepsum.staircases)
     can live exactly as long as their table.
@@ -79,14 +92,14 @@ class PrimeTable:
             )
         # floor first: integer-vs-integer comparison avoids any rounding of
         # exact rational query points.
-        return int(np.searchsorted(self._primes, math.floor(x), side="right"))
+        return bisect_right(self._primes, math.floor(x))
 
     def pi(self, x):
         """Number of primes <= x."""
         return self._cut(x)
 
     def primes_leq(self, x):
-        """Read-only array of the primes <= x."""
+        """Read-only sequence of the primes <= x, like ``primes``."""
         return self._primes[: self._cut(x)]
 
     def prime_power_sum(self, x, k):
@@ -97,10 +110,9 @@ class PrimeTable:
         if k == 0:
             return cut
         if k == 1:
-            # int64 cannot overflow here: the sum of all primes below the
-            # 10^8 cap is under 3e15.
-            return int(self._primes[:cut].sum())
-        return sum(int(p) ** k for p in self._primes[:cut].tolist())
+            # Python ints: no overflow, whatever the limit
+            return sum(self._primes[:cut])
+        return sum(p**k for p in self._primes[:cut].tolist())
 
     def reciprocal_sum(self, x, *, exact=False):
         """Sum of 1/p over primes p <= x: compensated float, or exact Fraction."""

@@ -2,13 +2,17 @@
 
 import csv
 import decimal
+import json
 import math
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import stepsum
 from stepsum.cli import main, run_bench
 from stepsum.primes import sieve
 
@@ -17,6 +21,18 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(code):
+    """Run ``code`` in a fresh interpreter that imports this package; its
+    last stdout line, parsed as JSON."""
+    src = str(Path(stepsum.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n{code}"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 # -----------------------------------------------------------------------
@@ -317,3 +333,85 @@ class TestBench:
         assert code == 3
         assert out == ""
         assert err.startswith("error: bench argument")
+
+
+# -----------------------------------------------------------------------
+# one process: start-up imports and repeated calls
+# -----------------------------------------------------------------------
+
+# Runs cli.main on each argv of ARGVS in turn, in one process; prints the
+# exit code, stdout and CSV text (None without --csv) of each as JSON.
+_CALLS = """
+import contextlib, io, json, pathlib
+from stepsum import cli
+
+def call(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    csv = pathlib.Path(argv[-1]).read_text() if "--csv" in argv else None
+    return [code, out.getvalue(), csv]
+
+print(json.dumps([call(argv) for argv in ARGVS]))
+"""
+
+
+def run_calls(argvs, prelude=""):
+    return run_python(prelude + f"\nARGVS = {argvs!r}\n" + _CALLS)
+
+
+class TestOneProcess:
+    def test_import_loads_no_numpy(self):
+        assert run_python(
+            "import json, stepsum, stepsum.cli\n"
+            "print(json.dumps('numpy' in sys.modules))"
+        ) is False
+
+    def test_compute_and_primes_run_without_numpy(self):
+        """With numpy unimportable, compute and primes print what they
+        always printed; a pointwise verify sweep loads numpy once it is
+        importable again."""
+        calls = run_calls(
+            [["compute", "pi", "--x", "100"], ["primes", "--limit", "30"]],
+            prelude='sys.modules["numpy"] = None  # import numpy raises ImportError',
+        )
+        primes = "".join(f"{p}\n" for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29))
+        assert calls == [
+            [0, "pi direct 100 25\n", None],
+            [0, primes + "# pi(30)=10\n", None],
+        ]
+        sweep = ["verify", "--identity", "prime_count", "--xmax", "150", "--samples", "5"]
+        assert run_python(
+            'sys.modules["numpy"] = None\n'
+            "import json\nfrom stepsum import cli\n"
+            'del sys.modules["numpy"]\n'
+            f"code = cli.main({sweep!r})\n"
+            'print(json.dumps([code, "numpy" in sys.modules]))'
+        ) == [0, True]
+
+    def test_repeated_calls_match_calls_made_alone(self, capsys, tmp_path):
+        """One parser serves every call of a process: no option of one
+        call leaks into the next."""
+        sweep = ["verify", "--identity", "prime_count", "--xmax", "150", "--samples", "5"]
+
+        def argvs(csv_path):
+            return [
+                ["compute", "pi", "--x", "abc"],
+                ["compute", "hp", "--x", "100", "--exact"],
+                ["compute", "hp", "--x", "100"],
+                ["compute", "hp", "--x", "100", "--method", "from_pi"],
+                ["compute", "hp", "--x", "100"],
+                sweep + ["--csv", str(csv_path)],
+                sweep,
+            ]
+
+        alone = [run_calls([argv])[0] for argv in argvs(tmp_path / "alone.csv")]
+        in_turn = []
+        for argv in argvs(tmp_path / "in_turn.csv"):
+            code = main(argv)
+            out = capsys.readouterr().out
+            csv_text = Path(argv[-1]).read_text() if "--csv" in argv else None
+            in_turn.append([code, out, csv_text])
+        assert in_turn == alone
+        assert [c[0] for c in alone] == [2, 0, 0, 0, 0, 0, 0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["alone.csv", "in_turn.csv"]

@@ -37,6 +37,18 @@ class TestSieve:
     def test_matches_trial_division(self, table):
         assert table.primes.tolist() == _trial_division_primes(10**4)
 
+    def test_every_small_limit_matches_trial_division(self):
+        """Limits 2 and 3, even limits and squares of primes all fall in
+        [2, 2000]."""
+        expected = _trial_division_primes(2000)
+        for limit in range(2, 2001):
+            primes = sieve(limit).primes.tolist()
+            assert primes == [p for p in expected if p <= limit], limit
+
+    def test_large_counts(self):
+        assert sieve(10**6).pi(10**6) == 78498
+        assert sieve(10**7).pi(10**7) == 664579
+
     def test_counts(self, table):
         # pi values re-derived by trial division and an independent
         # prime-counting implementation before being frozen here
@@ -57,8 +69,14 @@ class TestSieve:
             sieve(100, limit_cap=50)
 
     def test_primes_array_is_read_only(self, table):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             table.primes[0] = 4
+        assert table.primes[0] == 2
+
+    def test_primes_are_python_ints(self, table):
+        assert all(type(p) is int for p in table.primes[:10])
+        assert type(table.primes[-1]) is int
+        assert table.prime_power_sum(10**4, 1) == sum(table.primes.tolist())
 
     def test_repr(self, table):
         assert "1229" in repr(table)
