@@ -51,7 +51,7 @@ from .jump_series import (
     integrate_kernel_times_step,
     stieltjes_integrate,
 )
-from .primes import DEFAULT_LIMIT_CAP, PrimeTable, sieve
+from .primes import DEFAULT_LIMIT_CAP, EXACT_X_CAP, PrimeTable, sieve
 from .report import IdentityId, VerificationReport, error_report, make_report
 from .verify import (
     MIN_PAIRWISE_GAP,
@@ -80,6 +80,7 @@ __all__ = [
     "PrimeTable",
     "sieve",
     "DEFAULT_LIMIT_CAP",
+    "EXACT_X_CAP",
     "count_via_abel",
     "power_sum_via_abel",
     "reciprocal_power_sum_via_abel",

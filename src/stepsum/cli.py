@@ -31,6 +31,12 @@ __all__ = ["main", "build_parser", "BenchReport", "run_bench", "write_csv"]
 
 CSV_HEADER = ["identity", "x", "k", "lhs", "rhs", "abs_err", "rel_err", "tol", "pass"]
 
+# The most `verify --samples` takes (the default is 50).  A sample is one
+# random set or interval drawn and checked, or one point of a grid that
+# numpy allocates whole, so the count bounds both time and memory.
+MAX_SAMPLES = 10**4
+
+
 def _int_text(n):
     """Decimal digits of an int of any size.
 
@@ -153,8 +159,10 @@ def _sample_grid(lower, xmax, samples, table):
 
 def command_verify(args):
     identity = IdentityId(args.identity)
-    if args.samples < 1:
-        raise ConfigurationError(f"--samples must be at least 1, got {args.samples}")
+    if not 1 <= args.samples <= MAX_SAMPLES:
+        raise ConfigurationError(
+            f"--samples must be in [1, {MAX_SAMPLES}], got {args.samples}"
+        )
     if args.jobs < 1:
         raise ConfigurationError(f"--jobs must be at least 1, got {args.jobs}")
     if not (math.isfinite(args.tol) and args.tol >= 0):

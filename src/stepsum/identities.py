@@ -15,6 +15,9 @@ Float mode carries compensated summation end to end.  Exact mode accepts
 any rationals (int, Fraction, gmpy2.mpq) and turns every check into an
 equality; jump_series does the exact integrals in integer arithmetic and
 hands back ints or Fractions, so no route depends on a fast rational type.
+The exact sums over the primes or the naturals up to x cost about x**2,
+so exact mode refuses x past primes.EXACT_X_CAP with ResourceError before
+it loops.
 """
 
 import math
@@ -28,7 +31,7 @@ from .jump_series import (
     integrate_kernel_times_step,
     _rational_pow,
 )
-from .primes import DEFAULT_LIMIT_CAP
+from .primes import DEFAULT_LIMIT_CAP, _check_exact_x, _fraction_sum
 from .staircases import prime_staircase
 
 __all__ = [
@@ -116,7 +119,7 @@ def reciprocal_power_sum_via_abel(cumulative_series, x, k):
 # =====================================================================
 
 
-def _check_at_least(x, lower, what):
+def _check_at_least(x, lower, what, exact=False):
     if not isinstance(x, Real):
         raise DomainError(f"{what} must be real, got {x!r}")
     if isinstance(x, float) and not math.isfinite(x):
@@ -128,6 +131,8 @@ def _check_at_least(x, lower, what):
         raise ResourceError(
             f"{what} {x} exceeds the configured cap {DEFAULT_LIMIT_CAP}"
         )
+    if exact:
+        _check_exact_x(x)
 
 
 def _point(x, exact):
@@ -149,15 +154,36 @@ def natural_reciprocal_series(n, *, exact=False):
 
 
 def harmonic_direct(x, *, exact=False):
-    """H(x): sum of 1/n for n <= x, by direct compensated (or exact) summation."""
-    _check_at_least(x, 1, "harmonic argument")
+    """H(x): sum of 1/n for n <= x, by direct compensated (or exact) summation.
+
+    The exact sum is the oracle's plain sum of the terms 1/n, added as
+    (numerator, denominator) pairs two at a time over their lcm and
+    reduced once (primes._fraction_sum); it refuses x past EXACT_X_CAP.
+    """
+    _check_at_least(x, 1, "harmonic argument", exact)
     n = math.floor(x)
     if exact:
-        total = Fraction(0)
-        for i in range(1, n + 1):
-            total += Fraction(1, i)
-        return total
+        return _fraction_sum((1, i) for i in range(1, n + 1))
     return math.fsum(1.0 / i for i in range(1, n + 1))
+
+
+def _segment_sum(n):
+    """Sum of the segment terms (2i+1) / (2i(i+1)) for i = 1..n-1, exactly.
+
+    The identity route's own summation: each term enters as an int pair,
+    adjacent runs merge two at a time over the lcm of their denominators,
+    and one Fraction is reduced at the end.  No term is regrouped.
+    """
+    runs = [(2 * i + 1, 2 * i * (i + 1)) for i in range(1, n)]
+    while len(runs) > 1:
+        merged = []
+        for (num1, den1), (num2, den2) in zip(runs[::2], runs[1::2]):
+            g = math.gcd(den1, den2)
+            merged.append((num1 * (den2 // g) + num2 * (den1 // g), den1 // g * den2))
+        if len(runs) % 2:
+            merged.append(runs[-1])
+        runs = merged
+    return Fraction(*runs[0]) if runs else Fraction(0)
 
 
 def harmonic_via_identity(x, *, exact=False):
@@ -165,15 +191,15 @@ def harmonic_via_identity(x, *, exact=False):
 
     H(x) = (floor(x) + floor(x)**2) / (2 x**2) plus the integral from 1 to x
     of (floor(y) + floor(y)**2) / y**3, the integral summed in closed form
-    over the unit segments of the floor function.
+    over the unit segments of the floor function.  Exact mode adds the
+    segment terms pairwise over their lcm (_segment_sum), with its own
+    code, not the oracle's, and refuses x past EXACT_X_CAP.
     """
-    _check_at_least(x, 1, "harmonic argument")
+    _check_at_least(x, 1, "harmonic argument", exact)
     n = math.floor(x)
     if exact:
         xq = _point(x, True)
-        total = Fraction(n + n * n, 2) / (xq * xq)
-        for i in range(1, n):
-            total += Fraction(2 * i + 1, 2 * i * (i + 1))
+        total = Fraction(n + n * n, 2) / (xq * xq) + _segment_sum(n)
         if xq > n:
             total += (n + n * n) * (xq - n) * (xq + n) / (2 * n * n * xq * xq)
         return total
@@ -203,15 +229,21 @@ def iter_harmonic_identity(n_max):
 
 
 def floor_via_identity(x, *, exact=False):
-    """floor(x) recovered as the atom count of the naturals' reciprocal series."""
-    _check_at_least(x, 1, "argument")
+    """floor(x) recovered as the atom count of the naturals' reciprocal series.
+
+    Exact mode refuses x past EXACT_X_CAP.
+    """
+    _check_at_least(x, 1, "argument", exact)
     series = natural_reciprocal_series(math.floor(x), exact=exact)
     return count_via_abel(series, _point(x, exact))
 
 
 def triangular_via_identity(x, *, exact=False):
-    """1 + 2 + ... + floor(x) via the power-sum route with k = 1."""
-    _check_at_least(x, 1, "argument")
+    """1 + 2 + ... + floor(x) via the power-sum route with k = 1.
+
+    Exact mode refuses x past EXACT_X_CAP.
+    """
+    _check_at_least(x, 1, "argument", exact)
     series = natural_reciprocal_series(math.floor(x), exact=exact)
     return power_sum_via_abel(series, _point(x, exact), 1)
 
@@ -224,6 +256,8 @@ def triangular_via_identity(x, *, exact=False):
 # The float prime staircases are prepared once per table (staircases.py).
 # The exact ones are built per query, straight from the sieve output, which
 # meets the JumpSeries contract: sorted, distinct, positive, no zero weight.
+# Their running sums grow to about 1.44 x bits each, so they stop at
+# EXACT_X_CAP.
 
 # kind -> the exact weight of the prime p
 _EXACT_WEIGHTS = {
@@ -235,7 +269,9 @@ _EXACT_WEIGHTS = {
 
 def _prime_series(table, kind, x, exact):
     if exact:
-        ps = table.primes_leq(x).tolist()
+        primes = table.primes_leq(x)
+        _check_exact_x(x)
+        ps = primes.tolist()
         return JumpSeries(ps, map(_EXACT_WEIGHTS[kind], ps))
     return JumpSeries(*prime_staircase(table, kind, x))
 

@@ -244,7 +244,13 @@ Y_OVER_LOG = Kernel("y_over_log", lambda y: y / math.log(y), _ei_kernel(2.0), IN
 
 class _IntegerForm(NamedTuple):
     """An exact series as Python ints: location i is locations[i] / loc_den,
-    and the step value past the first i jumps is prefix[i] / prefix_den."""
+    and the step value past the first i jumps is prefix[i] / prefix_den.
+
+    Each denominator is the lcm of its values' denominators, taken in a
+    balanced tree of pairwise lcms (_lcm_tree).  The running sums are
+    accumulated from the scaled weights one at a time, so the scaled
+    weights are never all held beside them.
+    """
 
     loc_den: int
     locations: tuple
@@ -252,11 +258,28 @@ class _IntegerForm(NamedTuple):
     prefix: tuple
 
 
+def _lcm_tree(ints):
+    """lcm of the ints, merged pairwise in a balanced tree (1 for none).
+
+    math.lcm(*ints) folds from the left, so every small int meets the
+    whole running lcm; merging neighbours level by level keeps the
+    operands of each lcm about the same size.
+    """
+    level = ints
+    while len(level) > 1:
+        merged = list(map(math.lcm, level[::2], level[1::2]))
+        if len(level) % 2:
+            merged.append(level[-1])
+        level = merged
+    return level[0] if level else 1
+
+
 def _scale_to_common_denominator(values):
-    """(d, [v * d for v in values]) with d the lcm of the denominators."""
+    """(d, the ints v * d for v in values, lazily) with d the lcm of the
+    denominators."""
     dens = [int(v.denominator) for v in values]
-    d = math.lcm(*dens)
-    return d, [int(v.numerator) * (d // vd) for v, vd in zip(values, dens)]
+    d = _lcm_tree(dens)
+    return d, (int(v.numerator) * (d // vd) for v, vd in zip(values, dens))
 
 
 class JumpSeries:
@@ -272,9 +295,13 @@ class JumpSeries:
 
     An exact series (every location and weight rational) does not add up
     its running sums as Fractions: they are integer numerators over one
-    common denominator, computed once on first use, so integration never
-    renormalises a Fraction per jump.  A step value is reduced to a
-    Fraction only when it is asked for, and then kept.
+    common denominator, the lcm of the weights' denominators, computed
+    once on first use (_IntegerForm), so integration never renormalises a
+    Fraction per jump.  A step value is reduced to a Fraction only when it
+    is asked for, and then kept.  Each running sum has as many digits as
+    that lcm, so memory grows with the number of atoms times its size;
+    the exact routes over the primes and the naturals stop at
+    primes.EXACT_X_CAP.
     """
 
     __slots__ = ("_locations", "_weights", "_prefix", "_is_exact", "_integer")

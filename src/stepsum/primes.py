@@ -1,9 +1,13 @@
 """Prime tables: sieve, lookups, and the direct summation oracles.
 
 PrimeTable is immutable once sieved; every query walks the stored prime
-array.  The summation methods here are deliberately plain (compensated
-float sums, exact Python integers, exact rationals) because they serve as
-the direct side of every identity check in this package.  Keep them boring.
+array.  The summation methods here are deliberately plain sums, term by
+term (compensated float sums, exact Python integers, exact rationals),
+because they serve as the direct side of every identity check in this
+package.  Keep them boring.  An exact rational sum adds its terms as
+(numerator, denominator) int pairs, merged two at a time over the lcm of
+the pair's denominators, and reduces once at the end: the terms a running
+Fraction would add, none regrouped, without a reduction per term.
 Only the standard library is imported, so a process that sieves and
 queries never loads numpy.
 """
@@ -17,9 +21,44 @@ from numbers import Rational, Real
 
 from .errors import DomainError, RangeError, ResourceError
 
-__all__ = ["PrimeTable", "sieve", "DEFAULT_LIMIT_CAP"]
+__all__ = ["PrimeTable", "sieve", "DEFAULT_LIMIT_CAP", "EXACT_X_CAP"]
 
 DEFAULT_LIMIT_CAP = 10**8
+
+# The largest x an exact sum over the primes or the naturals up to x takes.
+# Such a sum has a denominator of about 1.44 x bits, and an exact staircase
+# keeps one running sum of that size per atom, so time and memory grow
+# about as x**2: at this cap the costliest route, the exact floor over the
+# naturals, takes about a second and some 200 MB.  Past it the exact routes
+# raise ResourceError before they loop.
+EXACT_X_CAP = 3 * 10**4
+
+
+def _check_exact_x(x):
+    """Refuse an exact sum up to a finite real x past EXACT_X_CAP."""
+    if math.floor(x) > EXACT_X_CAP:
+        raise ResourceError(
+            f"exact mode at x = {x} exceeds the configured cap {EXACT_X_CAP}"
+        )
+
+
+def _fraction_sum(terms):
+    """Sum of the fractions n/d, given as (n, d) int pairs with d > 0.
+
+    Adjacent pairs merge two at a time, so operand sizes stay balanced,
+    over b // gcd(b, d) * d, the lcm of the two denominators; nothing is
+    reduced until the one Fraction built at the end.
+    """
+    terms = list(terms)
+    while len(terms) > 1:
+        merged = []
+        for (a, b), (c, d) in zip(terms[::2], terms[1::2]):
+            g = math.gcd(b, d)
+            merged.append((a * (d // g) + c * (b // g), b // g * d))
+        if len(terms) % 2:
+            merged.append(terms[-1])
+        terms = merged
+    return Fraction(*terms[0]) if terms else Fraction(0)
 
 
 def sieve(limit, *, limit_cap=DEFAULT_LIMIT_CAP):
@@ -115,15 +154,15 @@ class PrimeTable:
         return sum(p**k for p in self._primes[:cut].tolist())
 
     def reciprocal_sum(self, x, *, exact=False):
-        """Sum of 1/p over primes p <= x: compensated float, or exact Fraction."""
+        """Sum of 1/p over primes p <= x: compensated float, or exact Fraction.
+
+        Exact mode refuses x past EXACT_X_CAP with ResourceError.
+        """
         cut = self._cut(x)
-        ps = self._primes[:cut].tolist()
         if exact:
-            total = Fraction(0)
-            for p in ps:
-                total += Fraction(1, p)
-            return total
-        return math.fsum(1.0 / p for p in ps)
+            _check_exact_x(x)
+            return _fraction_sum((1, p) for p in self._primes[:cut].tolist())
+        return math.fsum(1.0 / p for p in self._primes[:cut].tolist())
 
     def log_weight_sum(self, x):
         """Sum of log(p)/p over primes p <= x (compensated float)."""

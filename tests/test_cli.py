@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import stepsum
+from stepsum import cli, verify
 from stepsum.cli import main, run_bench
 from stepsum.primes import sieve
 
@@ -165,6 +166,25 @@ class TestCompute:
         assert out == ""
         assert "exceeds the configured cap" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("compute", "pi", "--x", "1e6", "--method", "identity", "--exact"),
+            ("compute", "harmonic", "--x", "1e7", "--exact"),
+            ("compute", "harmonic", "--x", "1e7", "--method", "identity", "--exact"),
+            ("compute", "hp", "--x", "1e6", "--exact"),
+        ],
+    )
+    def test_exact_past_the_exact_cap_is_resource_error(self, capsys, argv):
+        """Exact sums cost about x**2 in time and memory: past the exact
+        cap they refuse at once instead of running out of memory."""
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert "exceeds the configured cap" in err
+
 
 # -----------------------------------------------------------------------
 # verify
@@ -210,6 +230,23 @@ class TestVerify:
             capsys, "verify", "--identity", "harmonic", "--samples", "0"
         )
         assert code == 2
+
+    @pytest.mark.parametrize("identity", ["count", "harmonic", "hp_increment"])
+    def test_samples_past_the_bound_is_usage_error(self, capsys, monkeypatch, identity):
+        """A huge --samples is refused before any set, interval or grid."""
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for name in ("random_set_sweep", "random_intervals", "run_sweep"):
+            monkeypatch.setattr(verify, name, no_work)
+        monkeypatch.setattr(cli, "sieve", no_work)
+        code, out, err = run_cli(
+            capsys, "verify", "--identity", identity, "--samples", "1000000000"
+        )
+        assert code == 2
+        assert out == ""
+        assert f"--samples must be in [1, {cli.MAX_SAMPLES}]" in err
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_usage_error(self, capsys, jobs):

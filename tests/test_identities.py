@@ -7,10 +7,10 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stepsum.errors import DomainError
+from stepsum.errors import DomainError, ResourceError
 from stepsum.identities import (
     count_via_abel,
     floor_via_identity,
@@ -32,7 +32,7 @@ from stepsum.jump_series import (
     integrate_kernel_times_step,
     _rational_pow,
 )
-from stepsum.primes import sieve
+from stepsum.primes import EXACT_X_CAP, sieve
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +144,24 @@ class TestHarmonic:
         via = harmonic_via_identity(x)
         assert via == pytest.approx(direct, rel=1e-13)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            st.integers(1, 3000),
+            st.builds(Fraction, st.integers(7, 3000 * 7), st.just(7)),
+        )
+    )
+    def test_exact_routes_match_a_fraction_per_term(self, x):
+        """Both exact routes equal one Fraction added per integer, and are
+        Fractions, at integer and rational x."""
+        want = Fraction(0)
+        for i in range(1, math.floor(x) + 1):
+            want += Fraction(1, i)
+        for route in (harmonic_direct, harmonic_via_identity):
+            got = route(x, exact=True)
+            assert type(got) is Fraction
+            assert got == want
+
     def test_iterator_matches_direct_running_sum(self):
         total = Fraction(0)
         for n, via in islice(iter_harmonic_identity(2000), 2000):
@@ -198,6 +216,53 @@ class TestFloorTriangular:
         finally:
             tracemalloc.stop()
         assert peak <= 16 * 2**20
+
+
+# -----------------------------------------------------------------------
+# The exact-mode cap
+# -----------------------------------------------------------------------
+
+
+NATURAL_ROUTES = [
+    harmonic_direct, harmonic_via_identity, floor_via_identity, triangular_via_identity
+]
+PRIME_ROUTES = [
+    prime_count_via_identity,
+    prime_sum_via_identity,
+    prime_reciprocal_sum_via_prime_sums,
+    prime_reciprocal_sum_via_pi,
+]
+
+
+class TestExactCap:
+    @pytest.mark.parametrize("route", NATURAL_ROUTES)
+    def test_naturals_refuse_past_the_cap(self, route):
+        for x in (EXACT_X_CAP + 1, Fraction(2 * EXACT_X_CAP + 3, 2), 10**7):
+            with pytest.raises(ResourceError, match="exceeds the configured cap"):
+                route(x, exact=True)
+
+    def test_harmonic_at_the_cap_is_exact(self):
+        """The cap is inclusive: the floor of x is what counts."""
+        x = Fraction(2 * EXACT_X_CAP + 1, 2)
+        assert harmonic_direct(x, exact=True) == harmonic_via_identity(x, exact=True)
+
+    @pytest.mark.parametrize("route", PRIME_ROUTES)
+    def test_prime_staircases_refuse_past_the_cap(self, route):
+        table = sieve(EXACT_X_CAP + 1)
+        with pytest.raises(ResourceError, match="exceeds the configured cap"):
+            route(table, EXACT_X_CAP + 1, exact=True)
+        assert route(table, EXACT_X_CAP + 1) > 0
+
+    def test_exact_prime_staircase_peak_memory(self):
+        """The running sums of the exact staircase at x = 20000 peak
+        below 12 MB (17 MB while the scaled weights sat beside them)."""
+        tracemalloc.start()
+        try:
+            prime_count_via_identity(sieve(20000), 20000, exact=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20
 
 
 # -----------------------------------------------------------------------

@@ -15,6 +15,7 @@ from stepsum.jump_series import (
     INV_Y_LOG_SQ,
     POWER_ZERO,
     Y_OVER_LOG,
+    JumpSeries,
     Kernel,
     SmoothTerm,
     StepPlusSmooth,
@@ -296,6 +297,35 @@ class TestIntegerPath:
         out = integrate_kernel_times_step(s, POWER_ZERO, 1, 7)
         assert out == 3 + 4 * 2
         assert type(out) is int
+
+    @pytest.mark.parametrize(
+        "locations, weights",
+        [
+            # non-coprime denominators: the lcm is 60, not their product
+            (
+                [Fraction(3, 2), Fraction(7, 3), 4, Fraction(9, 2)],
+                [Fraction(1, 4), Fraction(1, 6), Fraction(-1, 10), Fraction(1, 15)],
+            ),
+            ([2, 3, 5, 7], [1, -2, 3, 5]),
+            ([], []),
+        ],
+    )
+    def test_integer_form_matches_one_lcm(self, locations, weights):
+        """The pairwise-lcm integer form equals the one built over
+        math.lcm of every denominator at once."""
+
+        def scaled(values):
+            d = math.lcm(*(v.denominator for v in values))
+            return d, [v.numerator * (d // v.denominator) for v in values]
+
+        loc_den, locs = scaled([Fraction(v) for v in locations])
+        prefix_den, steps = scaled([Fraction(v) for v in weights])
+        prefix = [0]
+        for step in steps:
+            prefix.append(prefix[-1] + step)
+        form = JumpSeries(locations, weights)._integer_form()
+        assert form == (loc_den, tuple(locs), prefix_den, tuple(prefix))
+        assert all(type(v) is int for v in (*form.locations, *form.prefix))
 
 
 # -----------------------------------------------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from stepsum.errors import DomainError, RangeError, ResourceError
-from stepsum.primes import PrimeTable, sieve
+from stepsum.primes import EXACT_X_CAP, PrimeTable, sieve
 
 
 def _trial_division_primes(limit):
@@ -124,6 +124,24 @@ class TestQueries:
     def test_reciprocal_sum(self, table):
         assert table.reciprocal_sum(7, exact=True) == Fraction(247, 210)
         assert table.reciprocal_sum(7.9) == pytest.approx(247 / 210, rel=1e-15)
+
+    def test_exact_reciprocal_sum_at_every_limit_to_3000(self):
+        """The pairwise sum equals one Fraction added per prime, as a
+        Fraction, on a table sieved to each limit."""
+        total = Fraction(0)
+        for limit in range(2, 3001):
+            if all(limit % d for d in range(2, math.isqrt(limit) + 1)):
+                total += Fraction(1, limit)
+            got = sieve(limit).reciprocal_sum(limit, exact=True)
+            assert type(got) is Fraction
+            assert got == total
+
+    def test_exact_reciprocal_sum_past_the_cap_is_refused(self):
+        table = sieve(EXACT_X_CAP + 1)
+        assert table.reciprocal_sum(EXACT_X_CAP + 0.5, exact=True) > 2
+        with pytest.raises(ResourceError, match="exceeds the configured cap"):
+            table.reciprocal_sum(EXACT_X_CAP + 1, exact=True)
+        assert table.reciprocal_sum(EXACT_X_CAP + 1) > 2
 
     def test_log_weight_sum(self, table):
         expected = math.log(2) / 2 + math.log(3) / 3
