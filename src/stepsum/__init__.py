@@ -45,8 +45,6 @@ from .jump_series import (
     Y_OVER_LOG,
     JumpSeries,
     Kernel,
-    SmoothTerm,
-    StepPlusSmooth,
     build_jump_series,
     integrate_kernel_times_step,
     stieltjes_integrate,
@@ -73,8 +71,6 @@ __all__ = [
     "Y_OVER_LOG",
     "JumpSeries",
     "build_jump_series",
-    "SmoothTerm",
-    "StepPlusSmooth",
     "integrate_kernel_times_step",
     "stieltjes_integrate",
     "PrimeTable",

@@ -2,6 +2,12 @@
 remainder, and the identities that connect prime counts to them.
 
 Everything here is float-only; the logarithms rule out exact rationals.
+The Mertens remainder R(x), the sum of log(p)/p over p <= x minus log x,
+is a jump series plus the smooth term -log x, so dR is point masses at
+the primes plus the density -1/y.  The routes integrate the point masses
+with stieltjes_integrate and write the density's integral out beside
+them, as a closed-form antiderivative difference.
+
 The one numerical subtlety worth naming: li and log log differences are
 always computed through the same cancellation-safe closed forms the
 integrator uses for the 1/log y and 1/(y log y) antiderivatives, so the
@@ -19,8 +25,6 @@ from .jump_series import (
     INV_Y_LOG_SQ,
     Y_OVER_LOG,
     JumpSeries,
-    SmoothTerm,
-    StepPlusSmooth,
     _ei_diff,
     _log_ratio,
     integrate_kernel_times_step,
@@ -75,6 +79,11 @@ def _log_weight_series(table, x, *, above=None):
     return JumpSeries(*prime_staircase(table, "log_weight", x, above=above))
 
 
+def _remainder(series, fx):
+    """R(fx): the step value of the log-weight series at fx, minus log fx."""
+    return float(series.value(fx)) - math.log(fx)
+
+
 def mertens_remainder(table, x):
     """R(x) = sum of log(p)/p over p <= x, minus log x.
 
@@ -82,8 +91,7 @@ def mertens_remainder(table, x):
     fluctuating part of the prime log-weight sum.
     """
     fx = _check_analytic_point(x)
-    measure = StepPlusSmooth(_log_weight_series(table, fx), SmoothTerm.NEG_LOG)
-    return measure.value(fx)
+    return _remainder(_log_weight_series(table, fx), fx)
 
 
 def prime_count_via_li(table, x):
@@ -92,13 +100,13 @@ def prime_count_via_li(table, x):
     li_from_2(x) plus the Stieltjes integral of y/log y against dR over
     [2, x], plus 1.  The atom at p = 2 is absorbed into the constant, so
     the step part starts strictly above 2 and the check at x = 2 reduces
-    to exactly 1.
+    to exactly 1.  The density -1/y integrates y/log y to -(li(x) - li(2)),
+    through the same Ei difference as li_from_2, so the two cancel bitwise.
     """
     fx = _check_analytic_point(x)
-    measure = StepPlusSmooth(
-        _log_weight_series(table, fx, above=2), SmoothTerm.NEG_LOG
-    )
-    s = stieltjes_integrate(Y_OVER_LOG, measure, 2.0, fx)
+    series = _log_weight_series(table, fx, above=2)
+    atoms = stieltjes_integrate(Y_OVER_LOG, series, 2.0, fx)
+    s = atoms - INV_LOG.antiderivative_diff(2.0, fx)
     return li_from_2(fx).value + s + 1.0
 
 
@@ -114,8 +122,7 @@ def prime_reciprocal_sum_via_mertens(table, x):
     series = _log_weight_series(table, fx)
     d = INV_Y_LOG.antiderivative_diff(2.0, fx)
     step_part = integrate_kernel_times_step(series, INV_Y_LOG_SQ, 2.0, fx)
-    remainder = StepPlusSmooth(series, SmoothTerm.NEG_LOG).value(fx)
-    return (1.0 + d) + (step_part - d) + remainder / math.log(fx)
+    return (1.0 + d) + (step_part - d) + _remainder(series, fx) / math.log(fx)
 
 
 def check_reciprocal_sum_increment(table, a, b, *, tol=1e-10):
@@ -124,18 +131,18 @@ def check_reciprocal_sum_increment(table, a, b, *, tol=1e-10):
     Direct side: reciprocal_sum(b) - reciprocal_sum(a).  Identity side:
     log log b - log log a plus the Stieltjes integral of 1/log y against
     dR over the subinterval, the step restricted to primes strictly above
-    a so the measure matches the half-open increment.
+    a so the measure matches the half-open increment.  The density -1/y
+    integrates 1/log y to -(log log b - log log a), which cancels the
+    first term.
     """
     fa = _check_analytic_point(a, "a")
     fb = _check_analytic_point(b, "b")
     if fa > fb:
         raise DomainError(f"interval out of order: [{a}, {b}]")
     lhs = table.reciprocal_sum(fb) - table.reciprocal_sum(fa)
-    measure = StepPlusSmooth(
-        _log_weight_series(table, fb, above=fa), SmoothTerm.NEG_LOG
-    )
+    series = _log_weight_series(table, fb, above=fa)
     d = INV_Y_LOG.antiderivative_diff(fa, fb)
-    rhs = d + stieltjes_integrate(INV_LOG, measure, fa, fb)
+    rhs = d + (stieltjes_integrate(INV_LOG, series, fa, fb) - d)
     return make_report(
         IdentityId.HP_INCREMENT, x=fa, lhs=lhs, rhs=rhs, tol=tol, k=fb
     )

@@ -24,7 +24,7 @@ from .errors import (
     RangeError,
     ResourceError,
 )
-from .primes import DEFAULT_LIMIT_CAP, sieve
+from .primes import DEFAULT_LIMIT_CAP, _check_exact_x, sieve
 from .report import IdentityId
 
 __all__ = ["main", "build_parser", "BenchReport", "run_bench", "write_csv"]
@@ -75,6 +75,9 @@ def _require_finite(option, value):
 
 
 def _compute_value(function, method, x, exact, limit):
+    # --exact refuses x past the exact cap on every method, before the sieve
+    if exact:
+        _check_exact_x(x)
     route = verify.ROUTES[function, method]
     table = None
     if route.needs_table:

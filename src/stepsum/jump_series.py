@@ -8,8 +8,10 @@ integrals computed here:
 * integrate_kernel_times_step: the ordinary integral of kernel(y) * F(y),
   evaluated segment by segment between jumps, in closed form for every
   kernel;
-* stieltjes_integrate: the integral of a kernel against the measure dF
-  (atoms sampled at their locations) plus an optional smooth density.
+* stieltjes_integrate: the integral of a kernel against the measure dF,
+  the sum of the kernel at each atom times its weight, in floats.  A
+  smooth density beside the atoms (the -1/y of the Mertens remainder) is
+  integrated by its caller, through a kernel's antiderivative_diff.
 
 Arithmetic follows the data.  Rational locations and weights (int,
 fractions.Fraction, or any other numbers.Rational such as gmpy2.mpq) flow
@@ -24,7 +26,6 @@ cancellation between nearby segment endpoints.
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
 from numbers import Integral, Rational, Real
@@ -41,8 +42,6 @@ __all__ = [
     "Y_OVER_LOG",
     "JumpSeries",
     "build_jump_series",
-    "SmoothTerm",
-    "StepPlusSmooth",
     "integrate_kernel_times_step",
     "stieltjes_integrate",
 ]
@@ -57,11 +56,10 @@ class Kernel:
 
     Every kernel states in one place how to evaluate it, the largest value
     the integration lower bound must stay above (``lower_domain_edge``,
-    None for no edge), its integral over [l, r] for floats l <= r
-    (``antiderivative_diff(l, r)``), and its ``density_partner``, the
-    kernel of kernel(y) / y that the NEG_LOG density integrates, or None.
-    ``integer_exponent`` is the int k of y**k for an integral k, which
-    keeps rational data rational; None otherwise.
+    None for no edge), and its integral over [l, r] for floats l <= r
+    (``antiderivative_diff(l, r)``).  ``integer_exponent`` is the int k of
+    y**k for an integral k, which keeps rational data rational; None
+    otherwise.
 
     Instances of this class are kernels in log y, defined for y > 1 and
     evaluated in floats: the module constants INV_Y_LOG_SQ, INV_Y_LOG,
@@ -73,11 +71,10 @@ class Kernel:
     lower_domain_edge = 1.0
     integer_exponent = None
 
-    def __init__(self, tag, evaluate, antiderivative_diff, density_partner=None):
+    def __init__(self, tag, evaluate, antiderivative_diff):
         self.tag = tag
         self._evaluate = evaluate
         self.antiderivative_diff = antiderivative_diff
-        self.density_partner = density_partner
 
     @staticmethod
     def power(k):
@@ -132,10 +129,6 @@ class _Power(Kernel):
             return _log_ratio(l, r)
         return _pow_diff(l, r, m) / m
 
-    @property
-    def density_partner(self):
-        return _Power(self.exponent - 1)
-
     def describe(self):
         return f"y**{self.exponent}"
 
@@ -150,19 +143,6 @@ def _integer_exponent(k):
     return None
 
 
-# abc instance checks are slow enough to matter in the per-segment loops;
-# the verdict only depends on the type, so cache it per type.
-_INTEGRAL_TYPES: dict = {}
-
-
-def _is_integral(value):
-    tv = type(value)
-    flag = _INTEGRAL_TYPES.get(tv)
-    if flag is None:
-        flag = _INTEGRAL_TYPES[tv] = isinstance(value, Integral)
-    return flag
-
-
 def _rational_pow(base, exponent):
     """base ** exponent, keeping integer bases rational under negative powers.
 
@@ -175,7 +155,7 @@ def _rational_pow(base, exponent):
         ki = _integer_exponent(exponent)
         if ki is None:
             return base ** exponent
-    if ki < 0 and _is_integral(base):
+    if ki < 0 and isinstance(base, Integral):
         return Fraction(int(base)) ** ki
     return base ** ki
 
@@ -233,8 +213,8 @@ INV_Y_LOG = Kernel(
     # antiderivative log log y
     lambda l, r: math.log1p(_log_ratio(l, r) / math.log(l)),
 )
-INV_LOG = Kernel("inv_log", lambda y: 1.0 / math.log(y), _ei_kernel(1.0), INV_Y_LOG)
-Y_OVER_LOG = Kernel("y_over_log", lambda y: y / math.log(y), _ei_kernel(2.0), INV_LOG)
+INV_LOG = Kernel("inv_log", lambda y: 1.0 / math.log(y), _ei_kernel(1.0))
+Y_OVER_LOG = Kernel("y_over_log", lambda y: y / math.log(y), _ei_kernel(2.0))
 
 
 # =====================================================================
@@ -297,8 +277,8 @@ class JumpSeries:
     its running sums as Fractions: they are integer numerators over one
     common denominator, the lcm of the weights' denominators, computed
     once on first use (_IntegerForm), so integration never renormalises a
-    Fraction per jump.  A step value is reduced to a Fraction only when it
-    is asked for, and then kept.  Each running sum has as many digits as
+    Fraction per jump.  A step value is reduced to a Fraction each time it
+    is asked for, and not kept.  Each running sum has as many digits as
     that lcm, so memory grows with the number of atoms times its size;
     the exact routes over the primes and the naturals stop at
     primes.EXACT_X_CAP.
@@ -311,9 +291,8 @@ class JumpSeries:
         self._weights = tuple(weights)
         types = set(map(type, self._locations)) | set(map(type, self._weights))
         self._is_exact = all(issubclass(t, Rational) for t in types)
-        if self._is_exact:
-            self._prefix = [None] * (len(self._weights) + 1)
-        else:
+        self._prefix = None
+        if not self._is_exact:
             self._prefix = (0,) + tuple(accumulate(self._weights))
         self._integer = None
 
@@ -355,13 +334,11 @@ class JumpSeries:
         An exact series returns an int when every weight is an integer,
         a Fraction otherwise.
         """
-        value = self._prefix[index]
-        if value is None:
-            form = self._integer_form()
-            num = form.prefix[index]
-            value = num if form.prefix_den == 1 else Fraction(num, form.prefix_den)
-            self._prefix[index] = value
-        return value
+        if not self._is_exact:
+            return self._prefix[index]
+        form = self._integer_form()
+        num = form.prefix[index]
+        return num if form.prefix_den == 1 else Fraction(num, form.prefix_den)
 
     def _integer_form(self):
         """An exact series' locations and step values as ints (_IntegerForm)."""
@@ -554,70 +531,23 @@ def _exact_power_integral(series, m, a, b):
 
 
 # =====================================================================
-# Step plus smooth, and Stieltjes integration
+# Stieltjes integration
 # =====================================================================
-
-
-class SmoothTerm(Enum):
-    NONE = "none"
-    NEG_LOG = "neg_log"
-
-
-@dataclass(frozen=True)
-class StepPlusSmooth:
-    """A jump series plus a named smooth term (only -log x for now).
-
-    The derivative-as-measure view: the atoms of ``step`` plus, for
-    NEG_LOG, the density -1/y.
-    """
-
-    step: JumpSeries
-    smooth: SmoothTerm = SmoothTerm.NONE
-
-    def value(self, x):
-        base = self.step.value(x)
-        if self.smooth is SmoothTerm.NONE:
-            return base
-        fx = float(x)
-        if fx <= 0:
-            raise DomainError(f"-log x undefined at {x}")
-        return float(base) - math.log(fx)
 
 
 def stieltjes_integrate(kernel, measure, a, b):
     """Integral of the kernel against dF over [a, b], endpoints inclusive.
 
-    ``measure`` is a StepPlusSmooth (a bare JumpSeries is accepted and
-    treated as having no smooth part).  Atoms with a <= location <= b
-    contribute kernel(location) * weight; a NEG_LOG smooth part adds the
-    integral of kernel(y) * (-1/y), minus that of the density partner.
+    ``measure`` is the JumpSeries F: each atom with a <= location <= b
+    contributes kernel(location) * weight, in floats, and the float sum
+    is correctly rounded (math.fsum).
     """
-    if isinstance(measure, JumpSeries):
-        measure = StepPlusSmooth(measure)
     _check_finite_point(a)
     _check_finite_point(b)
     kernel.check_interval(a, b)
-    if measure.smooth is SmoothTerm.NEG_LOG and kernel.density_partner is None:
-        raise DomainError(f"kernel {kernel.describe()} has no NEG_LOG density integral")
-    series = measure.step
-    locs = series.locations
-    i0 = bisect_left(locs, a)
-    i1 = bisect_right(locs, b)
-    exact = (
-        measure.smooth is SmoothTerm.NONE
-        and series.is_exact
-        and kernel.integer_exponent is not None
+    locs = measure.locations
+    weights = measure.weights
+    return math.fsum(
+        float(kernel(float(locs[i]))) * float(weights[i])
+        for i in range(bisect_left(locs, a), bisect_right(locs, b))
     )
-    if exact:
-        total = 0
-        for i in range(i0, i1):
-            total += kernel(locs[i]) * series.weights[i]
-        return total
-    atom_part = math.fsum(
-        float(kernel(float(locs[i]))) * float(series.weights[i]) for i in range(i0, i1)
-    )
-    if measure.smooth is SmoothTerm.NONE:
-        return atom_part
-    if a == b:
-        return atom_part
-    return atom_part - kernel.density_partner.antiderivative_diff(float(a), float(b))

@@ -161,3 +161,54 @@ class TestIncrement:
             check_reciprocal_sum_increment(table, 10, 5)
         with pytest.raises(DomainError, match="at least 2"):
             check_reciprocal_sum_increment(table, 1, 5)
+
+
+# -----------------------------------------------------------------------
+# Pinned bits
+# -----------------------------------------------------------------------
+
+# float.hex of each route on sieve(10**4), frozen from the implementation
+# in which the -1/y density of dR was integrated inside stieltjes_integrate;
+# the routes now write that density out and must keep every bit
+PIN_XS = (2, 2.5, 3, 7.5, 97, 1234.5, 9973, 10**4)
+PINNED = {
+    prime_count_via_li: (
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+1",
+        "0x1.0000000000000p+2", "0x1.9000000000000p+4", "0x1.9400000000000p+7",
+        "0x1.3340000000000p+10", "0x1.3340000000000p+10",
+    ),
+    mertens_remainder: (
+        "-0x1.62e42fefa39efp-2", "-0x1.23b1f7163c380p-1", "-0x1.8b1839d7dce2ep-2",
+        "-0x1.678d6394fa126p-1", "-0x1.348a9d8c6109cp+0", "-0x1.4b599d0771fccp+0",
+        "-0x1.51180afdf7020p+0", "-0x1.51c93abd0e6c0p+0",
+    ),
+    prime_reciprocal_sum_via_mertens: (
+        "0x1.0000000000000p-1", "0x1.ffffffffffffep-2", "0x1.aaaaaaaaaaaa9p-1",
+        "0x1.2d1ad1ad1ad1bp+0", "0x1.cd856d972bd10p+0", "0x1.1d45927cf232ep+1",
+        "0x1.3dd4e889b0149p+1", "0x1.3dd4e889b0149p+1",
+    ),
+}
+# (a, b) -> float.hex of check_reciprocal_sum_increment(table, a, b).rhs
+PINNED_INCREMENTS = {
+    (2, 2.5): "0x0.0p+0",
+    (2.5, 3): "0x1.5555555555556p-2",
+    (3, 7.5): "0x1.5f15f15f15f16p-2",
+    (7.5, 97): "0x1.40d537d421feap-1",
+    (97, 1234.5): "0x1.b416dd8ae2534p-2",
+    (1234.5, 9973): "0x1.047ab065ef0dap-2",
+    (9973, 10**4): "0x0.0p+0",
+    (2, 10**4): "0x1.fba9d11360293p+0",
+    (97, 97): "0x0.0p+0",
+}
+
+
+@pytest.mark.parametrize("route", list(PINNED), ids=lambda f: f.__name__)
+def test_routes_keep_their_pinned_bits(table, route):
+    got = [route(table, x) for x in PIN_XS]
+    assert got == [float.fromhex(h) for h in PINNED[route]]
+
+
+def test_increment_keeps_its_pinned_bits(table):
+    for (a, b), pinned in PINNED_INCREMENTS.items():
+        rhs = check_reciprocal_sum_increment(table, a, b).rhs
+        assert rhs == float.fromhex(pinned), (a, b)

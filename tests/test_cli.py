@@ -173,6 +173,11 @@ class TestCompute:
             ("compute", "harmonic", "--x", "1e7", "--exact"),
             ("compute", "harmonic", "--x", "1e7", "--method", "identity", "--exact"),
             ("compute", "hp", "--x", "1e6", "--exact"),
+            # the cap applies to every method and comes before the sieve
+            ("compute", "hp", "--x", "5e7", "--exact"),
+            ("compute", "pi", "--x", "5e4", "--method", "direct", "--exact"),
+            ("compute", "pi", "--x", "1e8", "--method", "identity", "--exact"),
+            ("compute", "prime_sum", "--x", "5e4", "--exact"),
         ],
     )
     def test_exact_past_the_exact_cap_is_resource_error(self, capsys, argv):

@@ -4,10 +4,12 @@ and the names the benchmark's tracer wraps."""
 import importlib
 import importlib.util
 import inspect
+import pkgutil
 from pathlib import Path
 
 import pytest
 
+import stepsum
 from stepsum import cli
 from stepsum.primes import PrimeTable
 from stepsum.report import IdentityId
@@ -96,6 +98,18 @@ def test_every_pointwise_identity_has_a_route_pair():
         assert method != "direct"
         assert identity_route.needs_table == direct_route.needs_table
         assert identity_route.lower == direct_route.lower
+
+
+def test_every_exported_name_resolves():
+    """A name removed from a module must leave its __all__ too."""
+    modules = [stepsum] + [
+        importlib.import_module(f"stepsum.{info.name}")
+        for info in pkgutil.iter_modules(stepsum.__path__)
+    ]
+    for module in modules:
+        assert len(set(module.__all__)) == len(module.__all__), module.__name__
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
 def test_every_name_the_tracer_wraps_exists():
