@@ -3,10 +3,12 @@ remainder, and the identities that connect prime counts to them.
 
 Everything here is float-only; the logarithms rule out exact rationals.
 The Mertens remainder R(x), the sum of log(p)/p over p <= x minus log x,
-is a jump series plus the smooth term -log x, so dR is point masses at
-the primes plus the density -1/y.  The routes integrate the point masses
-with stieltjes_integrate and write the density's integral out beside
-them, as a closed-form antiderivative difference.
+is a step function F plus the smooth term -log x, so dR is point masses
+at the primes plus the density -1/y.  The routes take the integrals
+against F from the terms stepsum.staircases prepares once per table (a
+correctly rounded sum of them is bit for bit what stieltjes_integrate and
+integrate_kernel_times_step return on F) and write the density's integral
+out beside them, as a closed-form antiderivative difference.
 
 The one numerical subtlety worth naming: li and log log differences are
 always computed through the same cancellation-safe closed forms the
@@ -16,7 +18,7 @@ checks at x = 2 come out exact because of it).
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
 from .jump_series import (
@@ -24,14 +26,11 @@ from .jump_series import (
     INV_Y_LOG,
     INV_Y_LOG_SQ,
     Y_OVER_LOG,
-    JumpSeries,
     _ei_diff,
     _log_ratio,
-    integrate_kernel_times_step,
-    stieltjes_integrate,
 )
 from .report import IdentityId, make_report
-from .staircases import prime_staircase
+from .staircases import log_weight_atom_sum, log_weight_step, log_weight_step_integral
 
 __all__ = [
     "LiValue",
@@ -43,8 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LiValue:
+class LiValue(NamedTuple):
     """Value of the logarithmic integral taken from 2, with an error bound."""
 
     x: float
@@ -74,14 +72,9 @@ def li_from_2(x):
     return LiValue(x=fx, value=value, abs_err_bound=err)
 
 
-def _log_weight_series(table, x, *, above=None):
-    """Atoms (p, log(p)/p) for primes p <= x, optionally only p > above."""
-    return JumpSeries(*prime_staircase(table, "log_weight", x, above=above))
-
-
-def _remainder(series, fx):
-    """R(fx): the step value of the log-weight series at fx, minus log fx."""
-    return float(series.value(fx)) - math.log(fx)
+def _remainder(table, fx):
+    """R(fx): the step value of the log-weight staircase at fx, minus log fx."""
+    return log_weight_step(table, fx) - math.log(fx)
 
 
 def mertens_remainder(table, x):
@@ -91,7 +84,7 @@ def mertens_remainder(table, x):
     fluctuating part of the prime log-weight sum.
     """
     fx = _check_analytic_point(x)
-    return _remainder(_log_weight_series(table, fx), fx)
+    return _remainder(table, fx)
 
 
 def prime_count_via_li(table, x):
@@ -104,8 +97,7 @@ def prime_count_via_li(table, x):
     through the same Ei difference as li_from_2, so the two cancel bitwise.
     """
     fx = _check_analytic_point(x)
-    series = _log_weight_series(table, fx, above=2)
-    atoms = stieltjes_integrate(Y_OVER_LOG, series, 2.0, fx)
+    atoms = log_weight_atom_sum(table, Y_OVER_LOG, 2.0, fx)
     s = atoms - INV_LOG.antiderivative_diff(2.0, fx)
     return li_from_2(fx).value + s + 1.0
 
@@ -119,10 +111,9 @@ def prime_reciprocal_sum_via_mertens(table, x):
     cancels the log log difference exactly.
     """
     fx = _check_analytic_point(x)
-    series = _log_weight_series(table, fx)
     d = INV_Y_LOG.antiderivative_diff(2.0, fx)
-    step_part = integrate_kernel_times_step(series, INV_Y_LOG_SQ, 2.0, fx)
-    return (1.0 + d) + (step_part - d) + _remainder(series, fx) / math.log(fx)
+    step_part = log_weight_step_integral(table, INV_Y_LOG_SQ, 2.0, fx)
+    return (1.0 + d) + (step_part - d) + _remainder(table, fx) / math.log(fx)
 
 
 def check_reciprocal_sum_increment(table, a, b, *, tol=1e-10):
@@ -140,9 +131,8 @@ def check_reciprocal_sum_increment(table, a, b, *, tol=1e-10):
     if fa > fb:
         raise DomainError(f"interval out of order: [{a}, {b}]")
     lhs = table.reciprocal_sum(fb) - table.reciprocal_sum(fa)
-    series = _log_weight_series(table, fb, above=fa)
     d = INV_Y_LOG.antiderivative_diff(fa, fb)
-    rhs = d + (stieltjes_integrate(INV_LOG, series, fa, fb) - d)
+    rhs = d + (log_weight_atom_sum(table, INV_LOG, fa, fb) - d)
     return make_report(
         IdentityId.HP_INCREMENT, x=fa, lhs=lhs, rhs=rhs, tol=tol, k=fb
     )

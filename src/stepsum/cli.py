@@ -14,8 +14,8 @@ import math
 import statistics
 import sys
 import time
-from dataclasses import dataclass
 from numbers import Rational
+from typing import NamedTuple
 
 from . import identities, verify
 from .errors import (
@@ -217,8 +217,7 @@ def command_verify(args):
 # =====================================================================
 
 
-@dataclass(frozen=True)
-class BenchReport:
+class BenchReport(NamedTuple):
     op: str
     method: str
     x: float

@@ -25,7 +25,6 @@ cancellation between nearby segment endpoints.
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from numbers import Integral, Rational, Real
@@ -102,15 +101,21 @@ class Kernel:
         return self.tag
 
 
-@dataclass(frozen=True)
 class _Power(Kernel):
-    """y**k; rational bases stay rational under an integral k."""
+    """y**k; rational bases stay rational under an integral k.  Power
+    kernels are equal when their exponents are."""
 
-    exponent: Real
-    integer_exponent: int | None = field(init=False, compare=False, repr=False)
+    def __init__(self, exponent):
+        self.exponent = exponent
+        self.integer_exponent = _integer_exponent(exponent)
 
-    def __post_init__(self):
-        object.__setattr__(self, "integer_exponent", _integer_exponent(self.exponent))
+    def __eq__(self, other):
+        if not isinstance(other, _Power):
+            return NotImplemented
+        return self.exponent == other.exponent
+
+    def __hash__(self):
+        return hash(self.exponent)
 
     def __call__(self, y):
         return _rational_pow(y, self.exponent)

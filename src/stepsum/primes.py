@@ -17,7 +17,7 @@ from array import array
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import compress
-from numbers import Rational, Real
+from numbers import Real
 
 from .errors import DomainError, RangeError, ResourceError
 

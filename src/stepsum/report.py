@@ -1,8 +1,8 @@
 """Verification records shared by the sweep drivers and the analytic checks."""
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 __all__ = ["IdentityId", "VerificationReport", "make_report", "error_report"]
 
@@ -27,8 +27,7 @@ class IdentityId(Enum):
     HP_INCREMENT = "hp_increment"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """One identity evaluation: both routes, errors, and the verdict.
 
     ``rel_err`` is ``abs_err / max(|rhs|, 1)``; the floor keeps relative

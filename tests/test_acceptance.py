@@ -6,7 +6,6 @@ this module are contractual; do not loosen them to make a failure go
 away.
 """
 
-import math
 import time
 from fractions import Fraction
 

@@ -339,6 +339,6 @@ class TestStieltjes:
         # a above the first atom drops it
         assert stieltjes_integrate(Kernel.power(1), s, Fraction(5, 2), 3) == 1
 
-    def test_bare_series_accepted(self):
+    def test_power_zero_sums_the_weights(self):
         s = build_jump_series([(4, 3)])
         assert stieltjes_integrate(POWER_ZERO, s, 1, 10) == 3

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from stepsum.errors import DomainError, RangeError, ResourceError
-from stepsum.primes import EXACT_X_CAP, PrimeTable, sieve
+from stepsum.primes import EXACT_X_CAP, sieve
 
 
 def _trial_division_primes(limit):

@@ -4,7 +4,10 @@ and the names the benchmark's tracer wraps."""
 import importlib
 import importlib.util
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -125,3 +128,18 @@ def test_every_name_the_tracer_wraps_exists():
     for name in tracer.ORACLE_METHODS:
         assert hasattr(PrimeTable, name)
     assert hasattr(importlib.import_module("stepsum.jump_series"), "JumpSeries")
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """The package and its CLI stay off dataclasses and inspect, which pull
+    in ast, dis and tokenize: about a megabyte a process for nothing."""
+    src = str(Path(stepsum.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, stepsum, stepsum.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
