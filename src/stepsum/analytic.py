@@ -4,11 +4,12 @@ remainder, and the identities that connect prime counts to them.
 Everything here is float-only; the logarithms rule out exact rationals.
 The Mertens remainder R(x), the sum of log(p)/p over p <= x minus log x,
 is a step function F plus the smooth term -log x, so dR is point masses
-at the primes plus the density -1/y.  The routes take the integrals
-against F from the terms stepsum.staircases prepares once per table (a
-correctly rounded sum of them is bit for bit what stieltjes_integrate and
-integrate_kernel_times_step return on F) and write the density's integral
-out beside them, as a closed-form antiderivative difference.
+at the primes plus the density -1/y.  F is the "log_weight" staircase of
+stepsum.staircases: the routes read F(x) and the integrals against F from
+the terms it prepares once per table (a correctly rounded sum of them is
+bit for bit what stieltjes_integrate and integrate_kernel_times_step
+return on F), and write the density's integral out beside them, as a
+closed-form antiderivative difference.
 
 The one numerical subtlety worth naming: li and log log differences are
 always computed through the same cancellation-safe closed forms the
@@ -30,7 +31,7 @@ from .jump_series import (
     _log_ratio,
 )
 from .report import IdentityId, make_report
-from .staircases import log_weight_atom_sum, log_weight_step, log_weight_step_integral
+from .staircases import atom_sum, step, step_integral
 
 __all__ = [
     "LiValue",
@@ -74,7 +75,7 @@ def li_from_2(x):
 
 def _remainder(table, fx):
     """R(fx): the step value of the log-weight staircase at fx, minus log fx."""
-    return log_weight_step(table, fx) - math.log(fx)
+    return step(table, "log_weight", fx) - math.log(fx)
 
 
 def mertens_remainder(table, x):
@@ -97,7 +98,7 @@ def prime_count_via_li(table, x):
     through the same Ei difference as li_from_2, so the two cancel bitwise.
     """
     fx = _check_analytic_point(x)
-    atoms = log_weight_atom_sum(table, Y_OVER_LOG, 2.0, fx)
+    atoms = atom_sum(table, "log_weight", Y_OVER_LOG, 2.0, fx)
     s = atoms - INV_LOG.antiderivative_diff(2.0, fx)
     return li_from_2(fx).value + s + 1.0
 
@@ -112,7 +113,7 @@ def prime_reciprocal_sum_via_mertens(table, x):
     """
     fx = _check_analytic_point(x)
     d = INV_Y_LOG.antiderivative_diff(2.0, fx)
-    step_part = log_weight_step_integral(table, INV_Y_LOG_SQ, 2.0, fx)
+    step_part = step_integral(table, "log_weight", INV_Y_LOG_SQ, 2.0, fx)
     return (1.0 + d) + (step_part - d) + _remainder(table, fx) / math.log(fx)
 
 
@@ -132,7 +133,7 @@ def check_reciprocal_sum_increment(table, a, b, *, tol=1e-10):
         raise DomainError(f"interval out of order: [{a}, {b}]")
     lhs = table.reciprocal_sum(fb) - table.reciprocal_sum(fa)
     d = INV_Y_LOG.antiderivative_diff(fa, fb)
-    rhs = d + (log_weight_atom_sum(table, INV_LOG, fa, fb) - d)
+    rhs = d + (atom_sum(table, "log_weight", INV_LOG, fa, fb) - d)
     return make_report(
         IdentityId.HP_INCREMENT, x=fa, lhs=lhs, rhs=rhs, tol=tol, k=fb
     )

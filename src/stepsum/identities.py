@@ -2,28 +2,35 @@
 
 Every route here has the same shape.  A finite sum over atoms is rewritten
 as a boundary term at x plus an integral of the running step function, and
-the integral is evaluated in closed form by jump_series.  The set routes
-and the prime routes are one Abel identity, written once in _abel: over
-the atoms (q, w) of a step F, the sum of w * q**m for q <= x is
+the integral is evaluated in closed form.  The set routes and the prime
+routes are one Abel identity, written once in _abel: over the atoms (q, w)
+of a step F, the sum of w * q**m for q <= x is
 x**m * F(x) - m * integral of y**(m-1) * F(y); each route picks F and m.
+The set routes, the naturals and the exact prime routes take F(x) and the
+integral from a JumpSeries (jump_series); the float prime routes read both
+from the prefix sums that stepsum.staircases prepares once per table.
 The naturals' harmonic route sums the floor function's segments itself.
 Each function has a direct-summation counterpart (in primes.PrimeTable or
 harmonic_direct) that serves as its oracle in the test suite; the two
 sides never share code beyond the input data.
 
-Float mode carries compensated summation end to end.  Exact mode accepts
-any rationals (int, Fraction, gmpy2.mpq) and turns every check into an
-equality; jump_series does the exact integrals in integer arithmetic and
-hands back ints or Fractions, so no route depends on a fast rational type.
-The exact sums over the primes or the naturals up to x cost about x**2,
-so exact mode refuses x past primes.EXACT_X_CAP with ResourceError before
-it loops.
+In float mode the step values are plain running sums and each integral
+is one correctly rounded sum (math.fsum) of its segment terms, but the
+boundary term minus m times the integral is one plain float subtraction:
+where the two nearly cancel, the result keeps only their rounding error.
+Exact mode accepts any rationals (int, Fraction, gmpy2.mpq) and turns
+every check into an equality; jump_series does the exact integrals in
+integer arithmetic and hands back ints or Fractions, so no route depends
+on a fast rational type.  The exact sums over the primes or the naturals
+up to x cost about x**2, so exact mode refuses x past primes.EXACT_X_CAP
+with ResourceError before it loops.
 """
 
 import math
 from fractions import Fraction
 from numbers import Rational, Real
 
+from . import staircases
 from .errors import DomainError, ResourceError
 from .jump_series import (
     JumpSeries,
@@ -32,7 +39,6 @@ from .jump_series import (
     _rational_pow,
 )
 from .primes import DEFAULT_LIMIT_CAP, _check_exact_x, _fraction_sum
-from .staircases import prime_staircase
 
 __all__ = [
     "count_via_abel",
@@ -65,19 +71,24 @@ def _require_point_at_or_after(series, x):
         )
 
 
-def _abel(series, x, k, m):
-    """x**m * F(x) - m * integral of y**k * F(y) from the first jump to x.
+def _abel(x, m, step, integral):
+    """x**m * F(x) - m * integral of y**(m-1) * F(y) from the first jump to x,
+    from ``step`` = F(x) and ``integral``.
 
-    The one Abel-summation step every set and prime route takes, with
-    m = k + 1.  Both exponents are passed, so neither is derived from the
-    other in float arithmetic.
+    The one Abel-summation step every set and prime route takes.
     """
+    return _rational_pow(x, m) * step - m * integral
+
+
+def _abel_over(series, x, k, m):
+    """_abel over a JumpSeries F, with m = k + 1.  Both exponents are
+    passed, so neither is derived from the other in float arithmetic."""
     _require_point_at_or_after(series, x)
-    boundary = _rational_pow(x, m) * series.value(x)
+    step = series.value(x)
     integral = integrate_kernel_times_step(
         series, Kernel.power(k), series.domain_min, x
     )
-    return boundary - m * integral
+    return _abel(x, m, step, integral)
 
 
 def count_via_abel(series, x):
@@ -86,7 +97,7 @@ def count_via_abel(series, x):
     For the reciprocal series h (atoms (q, 1/q)) this is
     x*h(x) - integral of h from the first jump to x.
     """
-    return _abel(series, x, 0, 1)
+    return _abel_over(series, x, 0, 1)
 
 
 def power_sum_via_abel(series, x, k):
@@ -97,7 +108,7 @@ def power_sum_via_abel(series, x, k):
     """
     if not isinstance(k, Real):
         raise DomainError(f"exponent must be real, got {k!r}")
-    return _abel(series, x, k, k + 1)
+    return _abel_over(series, x, k, k + 1)
 
 
 def reciprocal_power_sum_via_abel(cumulative_series, x, k):
@@ -111,7 +122,7 @@ def reciprocal_power_sum_via_abel(cumulative_series, x, k):
         raise DomainError(f"exponent must be real, got {k!r}")
     if k < 0:
         raise DomainError(f"exponent must be nonnegative, got {k}")
-    return _abel(cumulative_series, x, -(k + 2), -(k + 1))
+    return _abel_over(cumulative_series, x, -(k + 2), -(k + 1))
 
 
 # =====================================================================
@@ -253,11 +264,12 @@ def triangular_via_identity(x, *, exact=False):
 # =====================================================================
 
 
-# The float prime staircases are prepared once per table (staircases.py).
-# The exact ones are built per query, straight from the sieve output, which
-# meets the JumpSeries contract: sorted, distinct, positive, no zero weight.
-# Their running sums grow to about 1.44 x bits each, so they stop at
-# EXACT_X_CAP.
+# The float prime staircases are prepared once per table (staircases.py):
+# a float route reads F(x) and the integral of y**k * F(y) from 2 to x
+# from the table's prepared prefix sums.  The exact staircases are built
+# per query, straight from the sieve output, which meets the JumpSeries
+# contract: sorted, distinct, positive, no zero weight.  Their running
+# sums grow to about 1.44 x bits each, so they stop at EXACT_X_CAP.
 
 # kind -> the exact weight of the prime p
 _EXACT_WEIGHTS = {
@@ -267,25 +279,31 @@ _EXACT_WEIGHTS = {
 }
 
 
-def _prime_series(table, kind, x, exact):
+def _prime_abel(table, kind, x, k, m, exact):
+    """_abel over the prime staircase ``kind`` of ``table``, m = k + 1.
+
+    ``x`` is checked by table.pi (or primes_leq) before it is converted.
+    """
     if exact:
         primes = table.primes_leq(x)
         _check_exact_x(x)
         ps = primes.tolist()
-        return JumpSeries(ps, map(_EXACT_WEIGHTS[kind], ps))
-    return JumpSeries(*prime_staircase(table, kind, x))
+        series = JumpSeries(ps, map(_EXACT_WEIGHTS[kind], ps))
+        return _abel_over(series, _point(x, True), k, m)
+    step = staircases.step(table, kind, x)
+    fx = float(x)
+    integral = staircases.step_integral(table, kind, Kernel.power(k), 2.0, fx)
+    return _abel(fx, m, step, integral)
 
 
 def prime_count_via_identity(table, x, *, exact=False):
     """pi(x) = x * h(x) - integral of h from 2 to x, h the prime reciprocal sum."""
-    series = _prime_series(table, "reciprocal", x, exact)
-    return count_via_abel(series, _point(x, exact))
+    return _prime_abel(table, "reciprocal", x, 0, 1, exact)
 
 
 def prime_sum_via_identity(table, x, *, exact=False):
     """Sum of primes <= x: x**2 * h(x) - 2 * integral of y * h(y)."""
-    series = _prime_series(table, "reciprocal", x, exact)
-    return power_sum_via_abel(series, _point(x, exact), 1)
+    return _prime_abel(table, "reciprocal", x, 1, 2, exact)
 
 
 def prime_reciprocal_sum_via_prime_sums(table, x, *, exact=False):
@@ -294,8 +312,7 @@ def prime_reciprocal_sum_via_prime_sums(table, x, *, exact=False):
     G(x)/x**2 + 2 * integral of G(y)/y**3 from 2 to x; the reciprocal
     power-sum route with k = 1 over the series with atoms (p, p).
     """
-    series = _prime_series(table, "prime", x, exact)
-    return reciprocal_power_sum_via_abel(series, _point(x, exact), 1)
+    return _prime_abel(table, "prime", x, -3, -2, exact)
 
 
 def prime_reciprocal_sum_via_pi(table, x, *, exact=False):
@@ -304,5 +321,4 @@ def prime_reciprocal_sum_via_pi(table, x, *, exact=False):
     pi(x)/x + integral from 2 to x of pi(y)/y**2; the step is the counting
     series with unit weights at the primes.
     """
-    series = _prime_series(table, "count", x, exact)
-    return _abel(series, _point(x, exact), -2, -1)
+    return _prime_abel(table, "count", x, -2, -1, exact)

@@ -1,7 +1,9 @@
 """End-to-end CLI behavior: output formats, CSV stability, exit codes."""
 
+import contextlib
 import csv
 import decimal
+import io
 import json
 import math
 import subprocess
@@ -11,11 +13,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stepsum
 from stepsum import cli, verify
 from stepsum.cli import main, run_bench
 from stepsum.primes import sieve
+from stepsum.report import IdentityId
 
 
 def run_cli(capsys, *argv):
@@ -375,6 +380,67 @@ class TestBench:
         assert code == 3
         assert out == ""
         assert err.startswith("error: bench argument")
+
+
+# -----------------------------------------------------------------------
+# robustness: every argv exits 0-3
+# -----------------------------------------------------------------------
+
+# numeric strings for --x and --xmax: non-finite, signed zero, subnormal,
+# at the exact cap, past the sieve's cap, negative.  No value under the
+# caps lies above 3e4, so no draw starts a long loop; past the caps the
+# checks must refuse at once.
+NUMBERS = [
+    "nan", "inf", "-inf", "-0", "0", "1e-320", "1.5", "2", "97", "1e4",
+    "3e4", "30000.5", "1e9", "1e308", "-5",
+]
+METHODS = sorted({m for _, m in verify.ROUTES}) + ["bogus"]
+
+
+def _option(name, value, joined):
+    """``name value`` as one token or two; a value such as "-inf" as its own
+    token reads as an option, which argparse refuses with exit 2."""
+    return [f"{name}={value}"] if joined else [name, value]
+
+
+COMPUTE_ARGVS = st.builds(
+    lambda function, x, method, exact, limit, joined: [
+        "compute", function, *_option("--x", x, joined), "--method", method,
+        *(["--exact"] if exact else []),
+        *([] if limit is None else _option("--limit", limit, joined)),
+    ],
+    st.sampled_from(sorted({f for f, _ in verify.ROUTES})),
+    st.sampled_from(NUMBERS),
+    st.sampled_from(METHODS),
+    st.booleans(),
+    st.sampled_from([None, "-5", "0", "2", "97", "30001", "1000000000", "1e4"]),
+    st.booleans(),
+)
+VERIFY_ARGVS = st.builds(
+    lambda identity, xmax, samples, tol, joined: [
+        "verify", "--identity", identity, *_option("--xmax", xmax, joined),
+        "--samples", samples, *_option("--tol", tol, joined),
+    ],
+    st.sampled_from([i.value for i in IdentityId]),
+    st.sampled_from(NUMBERS),
+    st.sampled_from(["-1", "0", "1", "3", "10001", "nan"]),
+    st.sampled_from(["nan", "inf", "-1", "0", "1e-9", "1"]),
+    st.booleans(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=st.one_of(COMPUTE_ARGVS, VERIFY_ARGVS))
+def test_every_argv_exits_with_a_documented_code(argv):
+    """cli.main returns 0-3 on any such argv and never raises; exit 1, a
+    failed check, comes only from a zero tolerance."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+        io.StringIO()
+    ):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert "--tol=0" in argv or argv[-2:] == ["--tol", "0"]
 
 
 # -----------------------------------------------------------------------

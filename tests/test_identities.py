@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stepsum.errors import DomainError, ResourceError
+from stepsum.errors import DomainError, RangeError, ResourceError
 from stepsum.identities import (
     count_via_abel,
     floor_via_identity,
@@ -246,12 +246,36 @@ class TestExactCap:
         x = Fraction(2 * EXACT_X_CAP + 1, 2)
         assert harmonic_direct(x, exact=True) == harmonic_via_identity(x, exact=True)
 
-    @pytest.mark.parametrize("route", PRIME_ROUTES)
-    def test_prime_staircases_refuse_past_the_cap(self, route):
+    @pytest.mark.parametrize(
+        "route, x, error",
+        [
+            pytest.param(route, EXACT_X_CAP + 1, None, id=route.__name__)
+            for route in PRIME_ROUTES
+        ]
+        + [
+            pytest.param(route, x, error, id=f"{route.__name__}-{name}")
+            for route in PRIME_ROUTES
+            for name, x, error in [
+                ("str", "5", DomainError),
+                ("nan", float("nan"), DomainError),
+                ("below", 1.5, RangeError),
+                ("above", Fraction(2 * EXACT_X_CAP + 3, 2), RangeError),
+            ]
+        ],
+    )
+    def test_prime_staircases_refuse_past_the_cap(self, route, x, error):
+        """Past the cap, exact mode refuses x and float mode computes.  A
+        point the table cannot take (not real, nan, outside the table) is
+        refused by table.pi in both modes, before x is converted."""
         table = sieve(EXACT_X_CAP + 1)
-        with pytest.raises(ResourceError, match="exceeds the configured cap"):
-            route(table, EXACT_X_CAP + 1, exact=True)
-        assert route(table, EXACT_X_CAP + 1) > 0
+        if error is None:
+            with pytest.raises(ResourceError, match="exceeds the configured cap"):
+                route(table, x, exact=True)
+            assert route(table, x) > 0
+            return
+        for exact in (False, True):
+            with pytest.raises(error, match="query point"):
+                route(table, x, exact=exact)
 
     def test_exact_prime_staircase_peak_memory(self):
         """The running sums of the exact staircase at x = 20000 peak
@@ -297,3 +321,38 @@ class TestPrimeRoutes:
         for x in (2.5, 10.0, 541.5, 7919.0):
             via = prime_count_via_identity(table, x)
             assert round(via) == table.pi(x)
+
+
+# float.hex of each float prime route on sieve(10**4), frozen from the
+# implementation that integrated a JumpSeries of the prime atoms per query;
+# the routes now read prepared step values and segment sums and must keep
+# every bit
+PIN_XS = (2.0, 3.0, 7.5, 97.0, 1999.0, 5000.5, 10**4)
+PINNED = {
+    prime_count_via_identity: (
+        "0x1.0000000000000p+0", "0x1.0000000000000p+1", "0x1.ffffffffffffcp+1",
+        "0x1.9000000000000p+4", "0x1.2f00000000020p+8", "0x1.4e80000000010p+9",
+        "0x1.3340000000030p+10",
+    ),
+    prime_sum_via_identity: (
+        "0x1.0000000000000p+1", "0x1.3ffffffffffffp+2", "0x1.0fffffffffffcp+4",
+        "0x1.0900000000000p+10", "0x1.0e8e800000040p+18", "0x1.79f6800000000p+20",
+        "0x1.5e1f300000000p+22",
+    ),
+    prime_reciprocal_sum_via_prime_sums: (
+        "0x1.0000000000000p-1", "0x1.aaaaaaaaaaaabp-1", "0x1.2d1ad1ad1ad1bp+0",
+        "0x1.cd856d972bd10p+0", "0x1.256ef3c262a49p+1", "0x1.33dd38d0bede5p+1",
+        "0x1.3dd4e889b014ap+1",
+    ),
+    prime_reciprocal_sum_via_pi: (
+        "0x1.0000000000000p-1", "0x1.aaaaaaaaaaaaap-1", "0x1.2d1ad1ad1ad1bp+0",
+        "0x1.cd856d972bd10p+0", "0x1.256ef3c262a48p+1", "0x1.33dd38d0bede5p+1",
+        "0x1.3dd4e889b014ap+1",
+    ),
+}
+
+
+@pytest.mark.parametrize("route", list(PINNED), ids=lambda f: f.__name__)
+def test_float_prime_routes_keep_their_pinned_bits(table, route):
+    got = [route(table, x) for x in PIN_XS]
+    assert got == [float.fromhex(h) for h in PINNED[route]]

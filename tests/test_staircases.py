@@ -1,4 +1,4 @@
-"""Prepared prime staircases and analytic terms against per-query builds."""
+"""Prepared prime staircase terms against per-query builds."""
 
 import gc
 import math
@@ -19,27 +19,37 @@ from stepsum.jump_series import (
     INV_Y_LOG,
     INV_Y_LOG_SQ,
     Y_OVER_LOG,
-    JumpSeries,
     Kernel,
     build_jump_series,
     integrate_kernel_times_step,
     stieltjes_integrate,
 )
 from stepsum.primes import sieve
-from stepsum.staircases import prime_staircase
 
 LIMIT = 20000
 
-# the atoms a per-query build makes for each kind, prime by prime
+# the weight a per-query build gives the prime p, per kind
 WEIGHT = {
     "reciprocal": lambda p: 1.0 / p,
     "prime": lambda p: float(p),
     "count": lambda p: 1.0,
+    "log_weight": lambda p: math.log(p) / p,
+}
+log_weight = WEIGHT["log_weight"]
+
+# the identities' float prime routes: name -> (route, kind, k, m), the
+# route taking x**m * F(x) - m * integral of y**k * F(y) over [2, x]
+IDENTITY_ROUTES = {
+    "prime_count": (identities.prime_count_via_identity, "reciprocal", 0, 1),
+    "prime_sum": (identities.prime_sum_via_identity, "reciprocal", 1, 2),
+    "hp_prime_sums": (identities.prime_reciprocal_sum_via_prime_sums, "prime", -3, -2),
+    "hp_from_pi": (identities.prime_reciprocal_sum_via_pi, "count", -2, -1),
 }
 
-
-def log_weight(p):
-    return math.log(p) / p
+# every (kind, kernel) whose integral of kernel(y) * F(y) a route takes
+STEP_INTEGRALS = [
+    (kind, Kernel.power(k)) for _, kind, k, _ in IDENTITY_ROUTES.values()
+] + [("log_weight", INV_Y_LOG_SQ)]
 
 
 @pytest.fixture(scope="module")
@@ -54,12 +64,6 @@ def built(table, weight, x, above=None):
     if above is not None:
         ps = [p for p in ps if p > above]
     return build_jump_series((float(p), weight(p)) for p in ps)
-
-
-def rebuilt(table, kind, x):
-    """A drop-in for prime_staircase that builds the staircase afresh."""
-    series = built(table, WEIGHT[kind], x)
-    return series.locations, series.weights
 
 
 def same_float(a, b):
@@ -124,6 +128,25 @@ ANALYTIC_ROUTES = {
     ),
 }
 
+# The identity routes' reference is the Abel formula written out on a
+# staircase built per query, with the route's own (k, m).
+
+
+def identity_pair(name):
+    """(route, reference) of the identity route ``name``, each f(table, x, t)."""
+    fn, kind, k, m = IDENTITY_ROUTES[name]
+
+    def reference(table, x, t):
+        series = built(table, WEIGHT[kind], x)
+        integral = integrate_kernel_times_step(series, Kernel.power(k), 2.0, x)
+        return x**m * series.value(x) - m * integral
+
+    return (lambda table, x, t: fn(table, x)), reference
+
+
+# name -> (route, reference) for every float prime route
+ROUTES = {**ANALYTIC_ROUTES, **{name: identity_pair(name) for name in IDENTITY_ROUTES}}
+
 # query points: anywhere, at a prime, at an integer, at the ends
 QUERY_POINTS = st.one_of(
     st.floats(2.0, LIMIT),
@@ -135,39 +158,47 @@ QUERY_POINTS = st.one_of(
 class TestPreparedSlices:
     @settings(max_examples=150, deadline=None)
     @given(
-        kind=st.sampled_from(sorted(WEIGHT)),
+        pair=st.sampled_from(STEP_INTEGRALS),
         x=st.floats(2.0, LIMIT),
+        t=st.floats(0.0, 1.0),
         fresh=st.booleans(),
     )
-    def test_slice_is_the_built_staircase(self, table, kind, x, fresh):
+    def test_slice_is_the_built_staircase(self, table, pair, x, t, fresh):
+        """For every kind and kernel a route takes, F(x) is the step value
+        of the staircase built per query, and the integral of
+        kernel(y) * F(y) over [a, x] is integrate_kernel_times_step on it,
+        bit for bit."""
+        kind, kernel = pair
         if fresh:
             table = sieve(LIMIT)
-        series = JumpSeries(*prime_staircase(table, kind, x))
-        want = built(table, WEIGHT[kind], x)
-        assert series.locations == want.locations
-        assert series.weights == want.weights
-        for i in range(len(want) + 1):
-            assert same_float(series.prefix_value(i), want.prefix_value(i))
+        a = _start(x, t)
+        series = built(table, WEIGHT[kind], x)
+        assert same_float(staircases.step(table, kind, x), series.value(x))
+        got = staircases.step_integral(table, kind, kernel, a, x)
+        assert same_float(got, integrate_kernel_times_step(series, kernel, a, x))
 
     def test_query_prepares_no_atom_above_x(self):
         table = sieve(10**6)
         identities.prime_count_via_identity(table, 10.0)
         prepared = staircases._PREPARED[table]
-        assert len(prepared.locations) == 4
-        analytic.prime_count_via_li(table, 100.5)
-        assert len(prepared.atoms[Y_OVER_LOG]) == 25
-        analytic.check_reciprocal_sum_increment(table, 20.0, 30.5)
-        assert len(prepared.atoms[INV_LOG]) == 10
-        analytic.prime_reciprocal_sum_via_mertens(table, 30.0)
         # the steps hold F before the first prime too; the segments run
         # between consecutive primes
-        assert len(prepared.steps) == 11
-        assert len(prepared.segments[INV_Y_LOG_SQ]) == 9
+        assert len(prepared.steps["reciprocal"]) == 5
+        assert len(prepared.segments["reciprocal", Kernel.power(0)]) == 3
+        analytic.prime_count_via_li(table, 100.5)
+        assert len(prepared.atoms["log_weight", Y_OVER_LOG]) == 25
+        analytic.check_reciprocal_sum_increment(table, 20.0, 30.5)
+        assert len(prepared.atoms["log_weight", INV_LOG]) == 10
+        analytic.prime_reciprocal_sum_via_mertens(table, 30.0)
+        assert len(prepared.steps["log_weight"]) == 11
+        assert len(prepared.segments["log_weight", INV_Y_LOG_SQ]) == 9
         analytic.mertens_remainder(table, 20.0)
         identities.prime_count_via_identity(table, 30.0)
-        assert len(prepared.locations) == 10
-        assert len(prepared.atoms[Y_OVER_LOG]) == 25
-        assert len(prepared.steps) == 11
+        assert len(prepared.steps["reciprocal"]) == 11
+        assert len(prepared.segments["reciprocal", Kernel.power(0)]) == 9
+        assert len(prepared.atoms["log_weight", Y_OVER_LOG]) == 25
+        assert len(prepared.steps["log_weight"]) == 11
+        assert sorted(prepared.steps) == ["log_weight", "reciprocal"]
 
     def test_prepared_data_die_with_the_table(self):
         table = sieve(1000)
@@ -181,10 +212,9 @@ class TestPreparedSlices:
         assert ref not in staircases._PREPARED.keyrefs()
 
     def test_analytic_stores_stay_small(self):
-        """After every analytic route at the top of sieve(10**5), the
-        prepared analytic stores take under 0.5 MB: about 8 bytes per
-        prime and store, where tuples of floats or int prefixes would
-        take 30 to 50."""
+        """After every analytic and identity route at the top of
+        sieve(10**5), the prepared stores hold about 8 bytes per prime and
+        store, where a staircase kept as a tuple of floats takes 32."""
         table = sieve(10**5)
         x = float(10**5)
         tracemalloc.start()
@@ -193,41 +223,40 @@ class TestPreparedSlices:
             analytic.mertens_remainder(table, x)
             analytic.prime_reciprocal_sum_via_mertens(table, x)
             analytic.check_reciprocal_sum_increment(table, 2.0, x)
+            for route, _, _, _ in IDENTITY_ROUTES.values():
+                route(table, x)
             snapshot = tracemalloc.take_snapshot()
         finally:
             tracemalloc.stop()
         prepared = staircases._PREPARED[table]
-        assert len(prepared.steps) == len(table.primes) + 1
-        assert prepared.locations == ()
+        n = len(table.primes)
+        stores = [*prepared.steps.values(), *prepared.atoms.values()]
+        stores += prepared.segments.values()
+        # steps of 4 kinds, 2 atom stores and 5 segment stores
+        assert len(stores) == 11
+        assert all(n - 1 <= len(store) <= n + 1 for store in stores)
         mine = snapshot.filter_traces([tracemalloc.Filter(True, staircases.__file__)])
         held = sum(stat.size for stat in mine.statistics("filename"))
-        assert 0 < held < 0.5 * 2**20
+        assert 0 < held < 9 * n * len(stores)
 
     def test_threads_sharing_a_table_see_whole_staircases(self):
         table = sieve(LIMIT)
         rng = random.Random(11)
         queries = [
-            (rng.choice(sorted(ANALYTIC_ROUTES)), rng.uniform(2.0, LIMIT), rng.random())
-            for _ in range(48)
-        ] + [(kind, rng.uniform(2.0, LIMIT), None) for kind in sorted(WEIGHT) * 6]
-        rng.shuffle(queries)
+            (rng.choice(sorted(ROUTES)), rng.uniform(2.0, LIMIT), rng.random())
+            for _ in range(72)
+        ]
         reference = sieve(LIMIT)
-        want = {}
-        for name, x, t in queries:
-            if name in WEIGHT:
-                want[name, x, t] = rebuilt(reference, name, x)
-            else:
-                want[name, x, t] = ANALYTIC_ROUTES[name][1](reference, x, t)
+        want = {
+            (name, x, t): ROUTES[name][1](reference, x, t) for name, x, t in queries
+        }
         got = {}
         failures = []
 
         def worker(part):
             try:
                 for name, x, t in part:
-                    if name in WEIGHT:
-                        got[name, x, t] = prime_staircase(table, name, x)
-                    else:
-                        got[name, x, t] = ANALYTIC_ROUTES[name][0](table, x, t)
+                    got[name, x, t] = ROUTES[name][0](table, x, t)
             except Exception as exc:  # reported by the assertion below
                 failures.append(exc)
 
@@ -249,30 +278,15 @@ class TestPreparedSlices:
         assert got == want
 
 
-# the identities' float prime routes, each as f(table, x); their reference
-# is the route itself on staircases built per query
-IDENTITY_ROUTES = {
-    "prime_count": identities.prime_count_via_identity,
-    "prime_sum": identities.prime_sum_via_identity,
-    "hp_prime_sums": identities.prime_reciprocal_sum_via_prime_sums,
-    "hp_from_pi": identities.prime_reciprocal_sum_via_pi,
-}
-
-
 class TestRoutesUnchanged:
     @pytest.mark.parametrize("route", sorted(IDENTITY_ROUTES) + sorted(ANALYTIC_ROUTES))
-    def test_float_route_is_bit_identical(self, table, route, monkeypatch):
-        if route in IDENTITY_ROUTES:
-            fn = reference = lambda table, x, t: IDENTITY_ROUTES[route](table, x)
-        else:
-            fn, reference = ANALYTIC_ROUTES[route]
+    def test_float_route_is_bit_identical(self, table, route):
+        fn, reference = ROUTES[route]
         rng = random.Random(route)
         xs = [2.0, 3.0, 7.5, 97.0, float(LIMIT)]
         xs += [rng.uniform(2.0, LIMIT) for _ in range(20)]
-        prepared = [fn(table, x, 1 / 3) for x in xs]
-        monkeypatch.setattr(identities, "prime_staircase", rebuilt)
-        for x, value in zip(xs, prepared):
-            assert same_float(value, reference(table, x, 1 / 3)), x
+        for x in xs:
+            assert same_float(fn(table, x, 1 / 3), reference(table, x, 1 / 3)), x
 
     @settings(max_examples=60, deadline=None)
     @given(
