@@ -22,8 +22,8 @@ Exact mode accepts any rationals (int, Fraction, gmpy2.mpq) and turns
 every check into an equality; jump_series does the exact integrals in
 integer arithmetic and hands back ints or Fractions, so no route depends
 on a fast rational type.  The exact sums over the primes or the naturals
-up to x cost about x**2, so exact mode refuses x past primes.EXACT_X_CAP
-with ResourceError before it loops.
+up to x have denominators of about 1.44 x bits; exact mode refuses x past
+primes.EXACT_X_CAP with ResourceError before it loops.
 """
 
 import math
@@ -269,7 +269,8 @@ def triangular_via_identity(x, *, exact=False):
 # from the table's prepared prefix sums.  The exact staircases are built
 # per query, straight from the sieve output, which meets the JumpSeries
 # contract: sorted, distinct, positive, no zero weight.  Their running
-# sums grow to about 1.44 x bits each, so they stop at EXACT_X_CAP.
+# sums are kept in runs, each over its own lcm (jump_series._IntegerForm),
+# and they stop at EXACT_X_CAP.
 
 # kind -> the exact weight of the prime p
 _EXACT_WEIGHTS = {

@@ -26,11 +26,12 @@ __all__ = ["PrimeTable", "sieve", "DEFAULT_LIMIT_CAP", "EXACT_X_CAP"]
 DEFAULT_LIMIT_CAP = 10**8
 
 # The largest x an exact sum over the primes or the naturals up to x takes.
-# Such a sum has a denominator of about 1.44 x bits, and an exact staircase
-# keeps one running sum of that size per atom, so time and memory grow
-# about as x**2: at this cap the costliest route, the exact floor over the
-# naturals, takes about a second and some 200 MB.  Past it the exact routes
-# raise ResourceError before they loop.
+# Such a sum has a denominator of about 1.44 x bits.  An exact staircase
+# keeps its running sums in runs of consecutive jumps, each over its own
+# lcm (jump_series._IntegerForm): at this cap the costliest route, the
+# exact floor over the naturals, takes about 0.13 s with a traced peak of
+# about 9 MiB (2 vCPU, Python 3.11).  Past it the exact routes raise
+# ResourceError before they loop.
 EXACT_X_CAP = 3 * 10**4
 
 

@@ -57,6 +57,16 @@ class TestPrimes:
         assert code == 2
         assert "at least 2" in err
 
+    def test_limit_past_the_cap_is_refused_before_the_sieve(self, capsys):
+        """The sieve's cap of 10**8 refuses a larger limit at once, with the
+        resource exit code, so the argv property may draw one."""
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "primes", "--limit", "100000001")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert "exceeds the configured cap" in err
+
 
 # -----------------------------------------------------------------------
 # compute
@@ -428,9 +438,30 @@ VERIFY_ARGVS = st.builds(
     st.booleans(),
 )
 
+# --limit past the sieve's cap of 10**8 is refused before the sieve; no
+# drawn limit under it is above 30001.  --reps has no cap, so only small
+# counts are drawn, and bench's --x comes from NUMBERS like the others.
+PRIMES_ARGVS = st.builds(
+    lambda limit, joined: ["primes", *_option("--limit", limit, joined)],
+    st.sampled_from(
+        ["-5", "0", "1", "2", "97", "1e4", "30001", "100000001", "1000000000", "nan"]
+    ),
+    st.booleans(),
+)
+BENCH_ARGVS = st.builds(
+    lambda op, x, reps, joined: [
+        "bench", "--op", op, *_option("--x", x, joined),
+        *_option("--reps", reps, joined),
+    ],
+    st.sampled_from(["harmonic", "bogus"]),
+    st.sampled_from(NUMBERS),
+    st.sampled_from(["-1", "0", "2", "3", "4", "1.5", "nan", "1e9"]),
+    st.booleans(),
+)
 
-@settings(max_examples=200, deadline=None)
-@given(argv=st.one_of(COMPUTE_ARGVS, VERIFY_ARGVS))
+
+@settings(max_examples=300, deadline=None)
+@given(argv=st.one_of(COMPUTE_ARGVS, VERIFY_ARGVS, PRIMES_ARGVS, BENCH_ARGVS))
 def test_every_argv_exits_with_a_documented_code(argv):
     """cli.main returns 0-3 on any such argv and never raises; exit 1, a
     failed check, comes only from a zero tolerance."""

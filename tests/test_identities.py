@@ -278,15 +278,36 @@ class TestExactCap:
                 route(table, x, exact=exact)
 
     def test_exact_prime_staircase_peak_memory(self):
-        """The running sums of the exact staircase at x = 20000 peak
-        below 12 MB (17 MB while the scaled weights sat beside them)."""
+        """The exact staircase at x = 20000 peaks below 2 MiB (0.9 MiB
+        measured): its running sums are kept in runs, each over its own
+        lcm; over one lcm of every weight it took 8.9 MiB."""
         tracemalloc.start()
         try:
             prime_count_via_identity(sieve(20000), 20000, exact=True)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 12 * 2**20
+        assert peak <= 2 * 2**20
+
+    @pytest.mark.parametrize(
+        "route, want",
+        [
+            (floor_via_identity, EXACT_X_CAP),
+            (triangular_via_identity, EXACT_X_CAP * (EXACT_X_CAP + 1) // 2),
+        ],
+    )
+    def test_exact_naturals_at_the_cap_peak_memory(self, route, want):
+        """The exact staircase of the naturals at the cap peaks below
+        16 MiB (9.3 MiB measured); over one lcm of every weight it took
+        172.6 MiB."""
+        tracemalloc.start()
+        try:
+            got = route(EXACT_X_CAP, exact=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak <= 16 * 2**20
 
 
 # -----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Construction, evaluation, and integration of jump series."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from stepsum import jump_series, quadrature
 from stepsum.errors import DomainError
+from stepsum.identities import power_sum_via_abel, reciprocal_power_sum_via_abel
 from stepsum.jump_series import (
     INV_LOG,
     INV_Y_LOG,
@@ -242,17 +244,23 @@ class TestIntegrateKernelTimesStep:
 # -----------------------------------------------------------------------
 
 GRID = 2**24
+# jumps per run of an exact series' running sums
+RUN = jump_series._RUN
 
 
 def segment_reference(atoms, k, a, b):
     """Integral of y**k * F(y) over [a, b] in plain Fractions, one constancy
-    segment at a time: F-value times the antiderivative difference."""
-    cuts = sorted({a, b} | {q for q, _ in atoms if a < q < b})
-    total = Fraction(0)
-    for left, right in zip(cuts, cuts[1:]):
-        value = sum((w for q, w in atoms if q <= left), Fraction(0))
-        total += value * (right ** (k + 1) - left ** (k + 1)) / (k + 1)
-    return total
+    segment at a time: F-value times the antiderivative difference, the
+    F-value carried as a running sum of the weights."""
+    m = k + 1
+    value, total, left = Fraction(0), Fraction(0), a
+    for q, w in sorted(atoms):
+        if a < q < b:
+            total += value * (q**m - left**m) / m
+            left = q
+        if q < b:
+            value += w
+    return total + value * (b**m - left**m) / m
 
 
 @st.composite
@@ -305,24 +313,104 @@ class TestIntegerPath:
             ),
             ([2, 3, 5, 7], [1, -2, 3, 5]),
             ([], []),
+            # three runs, each over its own lcm
+            (
+                [Fraction(i, 3) for i in range(1, 2 * RUN + 40)],
+                [Fraction((-1) ** i, i) for i in range(1, 2 * RUN + 40)],
+            ),
+            # integer weights are one run however many there are
+            (
+                list(range(1, 2 * RUN + 40)),
+                [(-1) ** i * i for i in range(2 * RUN + 39)],
+            ),
         ],
     )
-    def test_integer_form_matches_one_lcm(self, locations, weights):
-        """The pairwise-lcm integer form equals the one built over
-        math.lcm of every denominator at once."""
-
-        def scaled(values):
-            d = math.lcm(*(v.denominator for v in values))
-            return d, [v.numerator * (d // v.denominator) for v in values]
-
-        loc_den, locs = scaled([Fraction(v) for v in locations])
-        prefix_den, steps = scaled([Fraction(v) for v in weights])
-        prefix = [0]
-        for step in steps:
-            prefix.append(prefix[-1] + step)
+    def test_integer_form_keeps_one_lcm_per_run(self, locations, weights):
+        """The locations are ints over math.lcm of their denominators; each
+        run of weights is math.lcm of its denominators and the running
+        sums of a plain loop over it."""
         form = JumpSeries(locations, weights)._integer_form()
-        assert form == (loc_den, tuple(locs), prefix_den, tuple(prefix))
-        assert all(type(v) is int for v in (*form.locations, *form.prefix))
+        loc_den = math.lcm(*(Fraction(v).denominator for v in locations))
+        assert form.loc_den == loc_den
+        assert form.locations == tuple(Fraction(v) * loc_den for v in locations)
+        span = RUN
+        if all(Fraction(w).denominator == 1 for w in weights):
+            span = max(len(weights), 1)
+        runs = []
+        for start in range(0, len(weights), span):
+            run = [Fraction(w) for w in weights[start : start + span]]
+            den = math.lcm(*(w.denominator for w in run))
+            prefix = [0]
+            for w in run:
+                prefix.append(prefix[-1] + w.numerator * (den // w.denominator))
+            runs.append((den, tuple(prefix)))
+        assert form.span == span
+        assert form.runs == (tuple(runs) or ((1, (0,)),))
+        sums = [v for _, prefix in form.runs for v in prefix]
+        assert all(type(v) is int for v in (*form.locations, *sums))
+
+
+@st.composite
+def long_exact_series(draw):
+    """More than two runs of atoms at rational locations over a drawn
+    denominator (mostly not a power of two), with int and Fraction weights
+    of both signs (or ints only), and bounds a <= b drawn at atoms, at run
+    edges, between atoms, before the first atom and past the last."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2 * RUN + 2, 3 * RUN + 1))
+    den = draw(st.sampled_from([1, 3, 7, 10, 12]))
+    ints_only = draw(st.booleans())
+    position, locations, weights = 0, [], []
+    for _ in range(n):
+        position += rng.randint(1, 3 * den)
+        locations.append(Fraction(position, den))
+        w = rng.choice([-1, 1]) * rng.randint(1, 9)
+        if not ints_only and rng.random() < 0.5:
+            w = Fraction(w, rng.randint(2, 30))
+        weights.append(w)
+
+    def bound(kind):
+        if kind == "atom":
+            return rng.choice(locations)
+        if kind == "edge":
+            return locations[rng.choice([RUN, 2 * RUN]) + rng.choice([-1, 0, 1])]
+        if kind == "between":
+            i = rng.randrange(n - 1)
+            return (2 * locations[i] + locations[i + 1]) / 3
+        if kind == "before":
+            return locations[0] / 2
+        return locations[-1] + Fraction(rng.randint(1, 20), 7)
+
+    kinds = st.sampled_from(["atom", "edge", "between", "before", "past"])
+    a, b = sorted((bound(draw(kinds)), bound(draw(kinds))))
+    return locations, weights, a, b
+
+
+class TestLongExactSeries:
+    @settings(max_examples=150, deadline=None)
+    @given(long_exact_series(), st.sampled_from([-5, -4, -3, -2, 0, 1, 2, 3]))
+    def test_routes_match_plain_fraction_sums(self, case, k):
+        """Across runs, the exact integral and step values equal plain
+        Fraction segment and weight sums, in value and type, and so do the
+        two Abel power-sum routes against plain sums over the atoms."""
+        locations, weights, a, b = case
+        s = JumpSeries(locations, weights)
+        out = integrate_kernel_times_step(s, Kernel.power(k), a, b)
+        assert out == segment_reference(list(zip(locations, weights)), k, a, b)
+        ints = all(Fraction(v).denominator == 1 for v in (*locations, *weights, a, b))
+        assert type(out) is (int if a == b or (k == 0 and ints) else Fraction)
+        int_steps = all(type(w) is int for w in weights)
+        for x in (a, b):
+            step = s.value(x)
+            assert step == sum(w for q, w in zip(locations, weights) if q <= x)
+            assert type(step) is (int if int_steps else Fraction)
+        if b < locations[0]:
+            return
+        atoms = [(q, w) for q, w in zip(locations, weights) if q <= b]
+        assert power_sum_via_abel(s, b, k) == sum(w * q ** (k + 1) for q, w in atoms)
+        if k >= 0:
+            want = sum(w / q ** (k + 1) for q, w in atoms)
+            assert reciprocal_power_sum_via_abel(s, b, k) == want
 
 
 # -----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The route table: the `compute` surface, the pointwise identity pairs,
 and the names the benchmark's tracer wraps."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -143,3 +144,38 @@ def test_import_loads_neither_dataclasses_nor_inspect():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def _unused_imports(path):
+    """'file:line name' for each name a module imports and never loads.
+
+    A name counts as used when it appears as a bare name anywhere in the
+    module, or is listed in its ``__all__`` (a re-export)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return [
+        f"{path.name}:{line} {name}"
+        for name, line in imported.items()
+        if name not in used
+    ]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    root = Path(__file__).resolve().parent.parent
+    paths = sorted((root / "src" / "stepsum").glob("*.py"))
+    paths += sorted((root / "tests").glob("*.py"))
+    assert [line for path in paths for line in _unused_imports(path)] == []
