@@ -95,12 +95,14 @@ def prime_count_via_li(table, x):
     [2, x], plus 1.  The atom at p = 2 is absorbed into the constant, so
     the step part starts strictly above 2 and the check at x = 2 reduces
     to exactly 1.  The density -1/y integrates y/log y to -(li(x) - li(2)),
-    through the same Ei difference as li_from_2, so the two cancel bitwise.
+    through the same Ei difference as li_from_2, so the two cancel bitwise:
+    it is that very value, computed once (INV_LOG's antiderivative
+    difference over [2, x] calls _ei_diff with li_from_2's arguments).
     """
     fx = _check_analytic_point(x)
     atoms = atom_sum(table, "log_weight", Y_OVER_LOG, 2.0, fx)
-    s = atoms - INV_LOG.antiderivative_diff(2.0, fx)
-    return li_from_2(fx).value + s + 1.0
+    li = li_from_2(fx).value
+    return li + (atoms - li) + 1.0
 
 
 def prime_reciprocal_sum_via_mertens(table, x):

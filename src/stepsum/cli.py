@@ -3,7 +3,8 @@
 Four subcommands: primes (sieve listing), compute (one value by one
 method), verify (sweep an identity against its oracle, optionally writing
 CSV), bench (time the harmonic routes).  Exit codes: 0 success / all pass,
-1 verification failure, 2 usage error, 3 range or resource error.
+1 verification failure, 2 usage error, 3 range or resource error (such as
+an x past a cap, or a bench past its work budget).
 """
 
 import argparse
@@ -216,6 +217,14 @@ def command_verify(args):
 # bench
 # =====================================================================
 
+# The most loop steps one bench may take.  Each call of a harmonic route
+# loops once per integer up to x, and its fixed cost is about that of
+# _CALL_STEPS more integers: a call of all three routes took about 8.5 us
+# at x = 1.5 and 0.5 us per integer at x = 10**5 (Python 3.11), so the
+# budget is about 10 s.  run_bench refuses reps past it before any loop.
+BENCH_WORK_CAP = 2 * 10**7
+_CALL_STEPS = 16
+
 
 class BenchReport(NamedTuple):
     op: str
@@ -234,12 +243,22 @@ def _naive_harmonic(n):
 
 
 def run_bench(x, reps):
-    """Time the three harmonic routes; one warm-up call each is discarded."""
+    """Time the three harmonic routes; one warm-up call each is discarded.
+
+    Refuses x past the naturals' cap, and reps whose calls would take
+    more than BENCH_WORK_CAP loop steps, with ResourceError before any
+    loop.
+    """
     if reps < 3:
         raise ConfigurationError(f"reps must be at least 3, got {reps}")
     # before any loop: the naive route runs once per integer up to x
     identities._check_at_least(x, 1, "bench argument")
     n = math.floor(x)
+    if (reps + 1) * (n + _CALL_STEPS) > BENCH_WORK_CAP:
+        raise ResourceError(
+            f"bench of {reps} reps at x = {x} exceeds the work budget of "
+            f"{BENCH_WORK_CAP} loop steps"
+        )
     routes = [
         ("direct", lambda: _naive_harmonic(n)),
         ("direct_compensated", lambda: identities.harmonic_direct(x)),

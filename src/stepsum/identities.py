@@ -21,9 +21,14 @@ where the two nearly cancel, the result keeps only their rounding error.
 Exact mode accepts any rationals (int, Fraction, gmpy2.mpq) and turns
 every check into an equality; jump_series does the exact integrals in
 integer arithmetic and hands back ints or Fractions, so no route depends
-on a fast rational type.  The exact sums over the primes or the naturals
-up to x have denominators of about 1.44 x bits; exact mode refuses x past
-primes.EXACT_X_CAP with ResourceError before it loops.
+on a fast rational type.  Over an exact series at an int or Fraction x,
+_abel_over takes F(x) and the integral from one run tree and reduces
+once (jump_series._exact_abel): the boundary term and the integral are
+still two terms, combined over one denominator in ints, and the result
+is the rational, and the type, that _abel gives.  The exact sums over
+the primes or the naturals up to x have denominators of about 1.44 x
+bits; exact mode refuses x past primes.EXACT_X_CAP with ResourceError
+before it loops.
 """
 
 import math
@@ -36,6 +41,7 @@ from .jump_series import (
     JumpSeries,
     Kernel,
     integrate_kernel_times_step,
+    _exact_abel,
     _rational_pow,
 )
 from .primes import DEFAULT_LIMIT_CAP, _check_exact_x, _fraction_sum
@@ -82,12 +88,27 @@ def _abel(x, m, step, integral):
 
 def _abel_over(series, x, k, m):
     """_abel over a JumpSeries F, with m = k + 1.  Both exponents are
-    passed, so neither is derived from the other in float arithmetic."""
+    passed, so neither is derived from the other in float arithmetic.
+
+    Over an exact series, at an int or Fraction x past the first jump and
+    an int k != -1, F(x) and the integral come from one run tree and are
+    combined in ints (jump_series._exact_abel): the same rational, of the
+    same type, as _abel of the step value and the integral.
+    """
     _require_point_at_or_after(series, x)
+    a = series.domain_min
+    kernel = Kernel.power(k)
+    if (
+        x > a
+        and series.is_exact
+        and type(x) in (int, Fraction)
+        and type(k) is int
+        and k != -1
+    ):
+        kernel.check_interval(a, x)
+        return _exact_abel(series, x, m)
     step = series.value(x)
-    integral = integrate_kernel_times_step(
-        series, Kernel.power(k), series.domain_min, x
-    )
+    integral = integrate_kernel_times_step(series, kernel, a, x)
     return _abel(x, m, step, integral)
 
 

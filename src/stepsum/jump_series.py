@@ -18,16 +18,23 @@ fractions.Fraction, or any other numbers.Rational such as gmpy2.mpq) flow
 through power-kernel integrals without rounding: an exact series is held
 as integer numerators over one location denominator, with its step values
 in runs of consecutive jumps, each over its own denominator; the segment
-sums run in Python ints, the runs merge pairwise, and a single Fraction
-is built per integral.  Anything involving a logarithm is evaluated in
-floats, with the antiderivative differences arranged to avoid
-cancellation between nearby segment endpoints.
+sums run in Python ints, the runs merge pairwise into one run tree
+(_run_tree), and a single Fraction is built per integral.  The Abel
+identity's two terms, x**m * F(x) and m times the integral of
+y**(m-1) * F(y) from the first jump, both come from one such tree
+(_exact_abel): they stay separate terms, are put over one denominator
+as ints, and one Fraction is built for their difference.  Anything
+involving a logarithm is evaluated in floats, with the antiderivative
+differences arranged to avoid cancellation between nearby segment
+endpoints; a power kernel's segment terms are evaluated in C-level maps
+(_power_diffs), with the operations of its scalar antiderivative_diff.
 """
 
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress, repeat
+from operator import mul, ne, sub, truediv
 from numbers import Integral, Rational, Real
 from typing import NamedTuple
 
@@ -57,9 +64,10 @@ class Kernel:
     Every kernel states in one place how to evaluate it, the largest value
     the integration lower bound must stay above (``lower_domain_edge``,
     None for no edge), and its integral over [l, r] for floats l <= r
-    (``antiderivative_diff(l, r)``).  ``integer_exponent`` is the int k of
-    y**k for an integral k, which keeps rational data rational; None
-    otherwise.
+    (``antiderivative_diff(l, r)``), and the terms F * that integral over
+    many segments at once (``segment_terms``).  ``integer_exponent`` is
+    the int k of y**k for an integral k, which keeps rational data
+    rational; None otherwise.
 
     Instances of this class are kernels in log y, defined for y > 1 and
     evaluated in floats: the module constants INV_Y_LOG_SQ, INV_Y_LOG,
@@ -101,6 +109,11 @@ class Kernel:
     def describe(self):
         return self.tag
 
+    def segment_terms(self, values, lefts, rights):
+        """value * antiderivative_diff(l, r) per segment, lazily, for
+        floats l < r."""
+        return map(mul, values, map(self.antiderivative_diff, lefts, rights))
+
 
 class _Power(Kernel):
     """y**k; rational bases stay rational under an integral k.  Power
@@ -108,7 +121,9 @@ class _Power(Kernel):
 
     def __init__(self, exponent):
         self.exponent = exponent
-        self.integer_exponent = _integer_exponent(exponent)
+        self.integer_exponent = ki = _integer_exponent(exponent)
+        # the antiderivative is y**m / m, or log y for m = 0
+        self._m = (ki + 1) if ki is not None else float(exponent) + 1.0
 
     def __eq__(self, other):
         if not isinstance(other, _Power):
@@ -129,11 +144,14 @@ class _Power(Kernel):
         return None
 
     def antiderivative_diff(self, l, r):
-        ki = self.integer_exponent
-        m = (ki + 1) if ki is not None else float(self.exponent) + 1.0
-        if m == 0:
-            return _log_ratio(l, r)
-        return _pow_diff(l, r, m) / m
+        if r == l and self._m != 0:
+            return 0.0
+        return next(_power_diffs((l,), (r,), self._m))
+
+    def segment_terms(self, values, lefts, rights):
+        """As Kernel.segment_terms, in C-level maps (_power_diffs);
+        ``lefts`` is a sequence."""
+        return map(mul, values, _power_diffs(lefts, rights, self._m))
 
     def describe(self):
         return f"y**{self.exponent}"
@@ -166,11 +184,20 @@ def _rational_pow(base, exponent):
     return base ** ki
 
 
-def _pow_diff(l, r, m):
-    """r**m - l**m for 0 < l <= r in floats, stable when r is near l."""
-    if r == l:
-        return 0.0
-    return l**m * math.expm1(m * math.log1p((r - l) / l))
+def _power_diffs(lefts, rights, m):
+    """(r**m - l**m) / m, or log(r) - log(l) for m = 0, per pair of floats
+    0 < l < r, lazily: l**m * expm1(m * log1p((r - l) / l)) / m, stable
+    when r is near l.  ``lefts`` is a sequence, read twice.
+
+    Python converts an int m to a float for each of these operations, so
+    converting it once gives the same bits.
+    """
+    logs = map(math.log1p, map(truediv, map(sub, rights, lefts), lefts))
+    if m == 0:
+        return logs
+    m = float(m)
+    rises = map(math.expm1, map(mul, repeat(m), logs))
+    return map(truediv, map(mul, map(pow, lefts, repeat(m)), rises), repeat(m))
 
 
 def _log_ratio(l, r):
@@ -322,8 +349,8 @@ class JumpSeries:
     running sum has the digits of one run's lcm, not of the lcm of every
     weight (about 1.44 x bits over the primes or the naturals up to x):
     at primes.EXACT_X_CAP, the exact floor over the naturals builds its
-    series, step value and integral in about 0.13 s, with a traced peak
-    of about 9 MiB.
+    series and its run tree, for the step value and the integral at
+    once, in about 0.10 s, with a traced peak of about 9 MiB.
     """
 
     __slots__ = ("_locations", "_weights", "_prefix", "_is_exact", "_integer")
@@ -452,21 +479,37 @@ def build_jump_series(points):
 # =====================================================================
 
 
-def _segments(series, a, b):
-    """Yield (left, right, F-value) over the constancy pieces of F in [a, b]."""
-    locs = series.locations
-    i0 = bisect_right(locs, a)
-    i1 = bisect_left(locs, b)
-    left = a
-    value_index = i0
-    for i in range(i0, i1):
-        right = locs[i]
-        if right > left:
-            yield left, right, series.prefix_value(value_index)
-        left = right
-        value_index = i + 1
-    if b > left:
-        yield left, b, series.prefix_value(value_index)
+def _float_steps(series, i0, i1):
+    """(values, nonzero): the step values i0, ..., i1 of a series, each
+    rounded once to a float, and as many items that are true where the
+    exact value is nonzero.
+
+    An exact series' values are walked run by run: run r's values are
+    prefix[k] / den over the weights of the runs before it, an offset
+    that is carried from run to run, so no run total is merged twice.
+    Each value is one int true division of its unreduced numerator and
+    denominator, correctly rounded like the float of its Fraction.
+    """
+    if not series.is_exact:
+        values = series._prefix[i0 : i1 + 1]
+        return list(map(float, values)), values
+    form = series._integer_form()
+    span = form.span
+    nums, dens = [], []
+    top, bottom = 0, 1  # the weights of the runs before run r
+    for r, (den, prefix) in enumerate(form.runs):
+        base = r * span
+        if r and base >= i1:
+            break
+        g = math.gcd(bottom, den)
+        c_den, c_bottom = den // g, bottom // g
+        lo, hi = max(i0 - base, r > 0), min(i1 - base, span)
+        if lo <= hi:
+            shift = top * c_den
+            nums.extend([shift + p * c_bottom for p in prefix[lo : hi + 1]])
+            dens.extend(repeat(bottom * c_den, hi - lo + 1))
+        top, bottom = top * c_den + prefix[-1] * c_bottom, bottom * c_den
+    return list(map(truediv, nums, dens)), nums
 
 
 def integrate_kernel_times_step(series, kernel, a, b):
@@ -477,7 +520,9 @@ def integrate_kernel_times_step(series, kernel, a, b):
     Power kernels with an integral exponent other than -1 keep rational
     data rational: the segments are summed in Python ints (see
     _exact_power_integral) and the result is a Fraction, or an int for
-    k = 0 over integer data.
+    k = 0 over integer data.  Otherwise each F-value is rounded once to a
+    float (_float_steps) and the segment terms (Kernel.segment_terms) are
+    added in one correctly rounded sum.
     """
     _check_finite_point(a)
     _check_finite_point(b)
@@ -496,10 +541,30 @@ def integrate_kernel_times_step(series, kernel, a, b):
     if exact:
         return _exact_power_integral(series, ki + 1, a, b)
 
-    diff = kernel.antiderivative_diff
-    return math.fsum(
-        float(v) * diff(float(l), float(r)) for l, r, v in _segments(series, a, b) if v
-    )
+    # F is value i0 + j on segment j, from a through the jumps inside
+    # (a, b) to b.  A zero value gives no term, and its segment's ends are
+    # not rounded; nor does a segment whose ends round to one float
+    # (_power_diffs takes l < r).
+    locs = series.locations
+    i0 = bisect_right(locs, a)
+    i1 = bisect_left(locs, b)
+    values, nonzero = _float_steps(series, i0, i1)
+    points = (a, *locs[i0:i1], b)
+    if all(nonzero):
+        ends = list(map(float, points))
+        lefts, rights = ends[:-1], ends[1:]
+    else:
+        values, lefts, rights = _select(nonzero, values, points[:-1], points[1:])
+        lefts, rights = list(map(float, lefts)), list(map(float, rights))
+    if not all(map(ne, lefts, rights)):
+        wide = list(map(ne, lefts, rights))
+        values, lefts, rights = _select(wide, values, lefts, rights)
+    return math.fsum(kernel.segment_terms(values, lefts, rights))
+
+
+def _select(keep, *columns):
+    """Each column as a list of its items where ``keep`` is true."""
+    return [list(compress(column, keep)) for column in columns]
 
 
 def _scaled_point(value, loc_den):
@@ -570,8 +635,10 @@ def _run_sum(runs, num, den):
     return _balanced([*nodes, (num, den, 0, 1, 1, 0, 0)], _merge)[:2]
 
 
-def _exact_power_integral(series, m, a, b):
-    """Integral of y**(m-1) * F(y) over [a, b] (a < b, m != 0), exactly.
+def _run_tree(form, m, a, b):
+    """The run tree of the integral of y**(m-1) * F(y) over [a, b] (a < b,
+    m != 0), for an exact series' integer form: (root, rest, scale, r0,
+    i1, bn, bd).
 
     Segment by segment, F-value times (right**m - left**m) / m, summed in
     integer numerators: the jump locations strictly inside (a, b) are
@@ -581,9 +648,16 @@ def _exact_power_integral(series, m, a, b):
     of the integer form sums its own segments with its own running sums
     (_power_node, _reciprocal_node), and the runs merge pairwise in a
     balanced tree (_merge), so no running sum is put over the lcm of
-    every weight.  One Fraction is built at the end.
+    every weight.
+
+    ``root`` is _merge's node over [a, b], with F counted from the start
+    of run ``r0``: its rise n / den is F just below b less the weights
+    before run r0, and m times the integral is s * scale / (den * rest)
+    plus, past run 0, those weights times the kernel's integral.  The
+    first ``i1`` jumps lie below b, and bn / bd is b * loc_den in lowest
+    terms.  Nothing is reduced here: the finishers
+    (_exact_power_integral, _exact_abel) build one Fraction each.
     """
-    form = series._integer_form()
     an, ad = _scaled_point(a, form.loc_den)
     bn, bd = _scaled_point(b, form.loc_den)
     locs = form.locations
@@ -616,18 +690,60 @@ def _exact_power_integral(series, m, a, b):
             inner = locs[i0 if head else base : i1 if tail else base + span + 1]
             nodes.append(node(den, prefix, lo, hi, inner, head, tail, m, ends))
         root = _balanced(nodes, _merge)
-    _, den, s, l, f, first, last = root
-    units = den * first_den * f
+    rest = first_den * root[4]
     if m > 0:
-        units *= ends[1] * ends[3] * form.loc_den**m
+        rest *= ends[1] * ends[3] * form.loc_den**m
+    return root, rest, scale, r0, i1, bn, bd
+
+
+def _exact_power_integral(series, m, a, b):
+    """Integral of y**(m-1) * F(y) over [a, b] (a < b, m != 0), exactly,
+    from the run tree (_run_tree): one Fraction, or an int for m = 1 over
+    integer data."""
+    form = series._integer_form()
+    root, rest, scale, r0, *_ = _run_tree(form, m, a, b)
+    _, den, s, l, f, first, last = root
+    units = den * rest
     if len(form.runs) == 1 and m == 1 and units == 1:
         return s
     result = Fraction(s * scale, units * m)
     if r0:
         # the nodes count F from the start of run r0
         rise = (last * l - first * f) * scale
-        result += series.prefix_value(r0 * span) * Fraction(rise, units // den * m)
+        result += series.prefix_value(r0 * form.span) * Fraction(rise, rest * m)
     return result
+
+
+def _exact_abel(series, x, m):
+    """x**m * F(x) - m * (integral of y**(m-1) * F(y) from the first jump
+    to x), exactly, from one run tree (_run_tree).
+
+    For an exact series, an int or Fraction x past the first jump and an
+    int m != 0.  The tree's root gives both terms: its rise is F just
+    below x, to which the weight at x is added when x is an atom, and
+    its sum is m times the integral.  The first jump is in run 0, so no
+    weights come before the tree.  The two terms stay apart until they
+    are put over one denominator as ints, and one Fraction is built; an
+    int only for m = 1, an int x and integer locations and weights, as
+    x**m * F(x) - m * integral gives in ints.
+    """
+    form = series._integer_form()
+    root, rest, scale, _, i1, bn, bd = _run_tree(form, m, series.domain_min, x)
+    n, den, s = root[:3]
+    wn, wd = 0, 1
+    if bd == 1 and i1 < len(form.locations) and form.locations[i1] == bn:
+        w = series.weights[i1]
+        wn, wd = int(w.numerator), int(w.denominator)
+    if m > 0:
+        xn, xd = x.numerator**m, x.denominator**m
+    else:
+        xn, xd = x.denominator**-m, x.numerator**-m
+    # x**m * (n/den + wn/wd) - s * scale / (den * rest)
+    num = xn * (n * wd + wn * den) * rest - s * scale * xd * wd
+    units = xd * wd * den * rest
+    if units == 1 and m == 1 and type(x) is int:
+        return num
+    return Fraction(num, units)
 
 
 def _power_node(den, prefix, lo, hi, inner, head, tail, m, ends):

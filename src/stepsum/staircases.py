@@ -120,11 +120,9 @@ def _segment_terms(table, kind, kernel, cut):
         terms = prepared.segments.setdefault((kind, kernel), array("d"))
         have = len(terms)
         if cut - 1 > have:
-            locs = [float(p) for p in table.primes[have:cut].tolist()]
-            diff = kernel.antiderivative_diff
+            locs = list(map(float, table.primes[have:cut].tolist()))
             terms.extend(
-                steps[j] * diff(l, r)
-                for j, l, r in zip(range(have + 1, cut), locs, locs[1:])
+                kernel.segment_terms(steps[have + 1 : cut], locs, locs[1:])
             )
         return steps, terms
 

@@ -267,6 +267,7 @@ def _check_one_set(task, k_set, tol, exact):
     included = qs[:count]
     if exact:
         locs = [Fraction(q) for q in qs]
+        reciprocals = [Fraction(q.denominator, q.numerator) for q in locs]
         xq = Fraction(x)
         ratios = [q.as_integer_ratio() for q in included]
 
@@ -275,11 +276,12 @@ def _check_one_set(task, k_set, tol, exact):
 
     else:
         locs, xq = qs, x
+        reciprocals = [1 / q for q in qs]
 
         def direct(k):
             return math.fsum(q**k for q in included)
 
-    h = JumpSeries(locs, [1 / q for q in locs])
+    h = JumpSeries(locs, reciprocals)
     g = JumpSeries(locs, locs)
     # the count is the k = 0 power sum, so one integral serves both
     power = {k: identities.power_sum_via_abel(h, xq, k) for k in {0, *k_set}}

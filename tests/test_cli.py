@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import stepsum
 from stepsum import cli, verify
 from stepsum.cli import main, run_bench
+from stepsum.errors import ResourceError
 from stepsum.primes import sieve
 from stepsum.report import IdentityId
 
@@ -391,6 +392,29 @@ class TestBench:
         assert out == ""
         assert err.startswith("error: bench argument")
 
+    @pytest.mark.parametrize(
+        "x, reps", [("1.5", "1176471"), ("2", "100000000"), ("1e6", "19")]
+    )
+    def test_reps_past_the_work_budget_are_refused_at_once(self, capsys, x, reps):
+        """(reps + 1) * (floor(x) + 16) past BENCH_WORK_CAP exits 3 before
+        any timed or warm-up call."""
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "bench", "--op", "harmonic", "--x", x, "--reps", reps
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert "work budget" in err
+
+    def test_work_budget_edge(self, monkeypatch):
+        """At x = 1.5 a call counts 17 steps: 3 reps and the warm-up fit a
+        budget of 68, and 4 reps do not."""
+        monkeypatch.setattr(cli, "BENCH_WORK_CAP", 68)
+        assert [row.reps for row in run_bench(1.5, 3)] == [3, 3, 3]
+        with pytest.raises(ResourceError, match="work budget"):
+            run_bench(1.5, 4)
+
 
 # -----------------------------------------------------------------------
 # robustness: every argv exits 0-3
@@ -439,8 +463,9 @@ VERIFY_ARGVS = st.builds(
 )
 
 # --limit past the sieve's cap of 10**8 is refused before the sieve; no
-# drawn limit under it is above 30001.  --reps has no cap, so only small
-# counts are drawn, and bench's --x comes from NUMBERS like the others.
+# drawn limit under it is above 30001.  bench's --x comes from NUMBERS
+# like the others, and its --reps are small or, for every x >= 1, past
+# the work budget (cli.BENCH_WORK_CAP), which refuses them at once.
 PRIMES_ARGVS = st.builds(
     lambda limit, joined: ["primes", *_option("--limit", limit, joined)],
     st.sampled_from(
@@ -455,7 +480,9 @@ BENCH_ARGVS = st.builds(
     ],
     st.sampled_from(["harmonic", "bogus"]),
     st.sampled_from(NUMBERS),
-    st.sampled_from(["-1", "0", "2", "3", "4", "1.5", "nan", "1e9"]),
+    st.sampled_from(
+        ["-1", "0", "2", "3", "4", "1.5", "nan", "1e9", "1176471", "100000000"]
+    ),
     st.booleans(),
 )
 

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stepsum import jump_series, quadrature
+from stepsum import identities, jump_series, quadrature
 from stepsum.errors import DomainError
 from stepsum.identities import power_sum_via_abel, reciprocal_power_sum_via_abel
+from stepsum.primes import sieve
 from stepsum.jump_series import (
     INV_LOG,
     INV_Y_LOG,
@@ -21,6 +22,7 @@ from stepsum.jump_series import (
     build_jump_series,
     integrate_kernel_times_step,
     stieltjes_integrate,
+    _rational_pow,
 )
 
 # frozen reference: integral of 1/log t from 2 to 10, mpmath.li(10, offset=True)
@@ -411,6 +413,115 @@ class TestLongExactSeries:
         if k >= 0:
             want = sum(w / q ** (k + 1) for q, w in atoms)
             assert reciprocal_power_sum_via_abel(s, b, k) == want
+
+
+@st.composite
+def abel_cases(draw):
+    """An exact series of one to three runs, with int, Fraction or mixed
+    weights of both signs, at int or rational locations, and a point x at
+    its first jump, at an atom, at a run edge, between atoms or past the
+    last atom; x is an int where its value is one, half the time."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    runs = draw(st.integers(1, 3))
+    n = draw(st.integers((runs - 1) * RUN + 1, runs * RUN))
+    den = draw(st.sampled_from([1, 3, 7, 2**24]))
+    weights_kind = draw(st.sampled_from(["int", "fraction", "mixed"]))
+    position, locations, weights = 0, [], []
+    for _ in range(n):
+        position += rng.randint(1, 3 * den)
+        locations.append(position if den == 1 else Fraction(position, den))
+        w = rng.choice([-1, 1]) * rng.randint(1, 9)
+        mixed = weights_kind == "mixed" and rng.random() < 0.5
+        if weights_kind == "fraction" or mixed:
+            w = Fraction(w, rng.randint(2, 30))
+        weights.append(w)
+    kind = draw(st.sampled_from(["first", "atom", "edge", "between", "past"]))
+    if kind == "first":
+        x = locations[0]
+    elif kind == "atom":
+        x = rng.choice(locations)
+    elif kind == "edge":
+        x = locations[min(n - 1, rng.choice([RUN, 2 * RUN]) + rng.choice([-1, 0, 1]))]
+    elif kind == "between" and n > 1:
+        i = rng.randrange(n - 1)
+        x = (2 * Fraction(locations[i]) + locations[i + 1]) / 3
+    else:
+        x = Fraction(locations[-1]) + Fraction(rng.randint(1, 20), 7)
+    x = Fraction(x)
+    if x.denominator == 1 and draw(st.booleans()):
+        x = int(x)
+    return locations, weights, x
+
+
+class TestExactAbel:
+    @settings(max_examples=150, deadline=None)
+    @given(abel_cases(), st.sampled_from([-5, -4, -3, -2, 0, 1, 2, 3]))
+    def test_one_pass_equals_step_value_and_integral(self, case, k):
+        """The exact Abel pass over one run tree gives x**m * F(x) minus m
+        times the integral from the first jump, as the step value and the
+        integral give it apart: the same rational, of the same type."""
+        locations, weights, x = case
+        s = JumpSeries(locations, weights)
+        m = k + 1
+        a = s.domain_min
+        want = _rational_pow(x, m) * s.value(x) - m * integrate_kernel_times_step(
+            s, Kernel.power(k), a, x
+        )
+        got = identities._abel_over(s, x, k, m)
+        assert got == want
+        assert type(got) is type(want)
+        if x > a:
+            assert jump_series._exact_abel(s, x, m) == want
+
+    def test_int_only_where_the_terms_are_ints(self):
+        """m = 1 over integer locations and weights at an int x is an int,
+        as x * F(x) - integral is, even where they are Fractions of
+        denominator 1; a Fraction x, another m, a fractional weight or a
+        fractional location gives a Fraction."""
+        for weights in ([1, -2, 4], [1, -2, Fraction(4)]):
+            out = identities._abel_over(JumpSeries([2, 3, 5], weights), 5, 0, 1)
+            assert out == 2 * 1 + 3 * -2 + 5 * 4
+            assert type(out) is int
+        for x, k, locations, weights in (
+            (Fraction(5), 0, [2, 3, 5], [1, -2, 4]),
+            (5, 1, [2, 3, 5], [1, -2, 4]),
+            (5, 0, [2, 3, 5], [Fraction(1, 2), -2, 4]),
+            (5, 0, [2, Fraction(7, 2), 5], [1, -2, 4]),
+        ):
+            out = identities._abel_over(JumpSeries(locations, weights), x, k, k + 1)
+            assert type(out) is Fraction
+
+
+class TestFloatOverExactSeries:
+    @pytest.fixture(scope="class")
+    def reciprocals(self):
+        primes = sieve(5000).primes.tolist()
+        return JumpSeries(primes, [Fraction(1, p) for p in primes])
+
+    @pytest.mark.parametrize(
+        "kernel, a, b, bits",
+        [
+            (INV_LOG, 2, 5000, "0x1.7e337117fc4bap+10"),
+            (Kernel.power(-1), 2, 5000, "0x1.a91b47cd7bf17p+3"),
+            (Kernel.power(2), 2.5, 4999.5, "0x1.6ef39fd2eaae9p+36"),
+        ],
+    )
+    def test_bits_pinned(self, reciprocals, kernel, a, b, bits):
+        """Log kernels, y**-1 and float bounds take the float path over
+        the exact 1/p series (six runs): pinned bit for bit."""
+        assert integrate_kernel_times_step(reciprocals, kernel, a, b).hex() == bits
+
+    @settings(max_examples=40, deadline=None)
+    @given(long_exact_series())
+    def test_step_values_rounded_once(self, case):
+        """Walking the runs with one offset each gives every step value
+        as the float of its Fraction."""
+        locations, weights, _, _ = case
+        s = JumpSeries(locations, weights)
+        values, nonzero = jump_series._float_steps(s, 0, len(s))
+        exact = [s.prefix_value(i) for i in range(len(s) + 1)]
+        assert values == [float(v) for v in exact]
+        assert [bool(v) for v in nonzero] == [bool(v) for v in exact]
 
 
 # -----------------------------------------------------------------------

@@ -6,9 +6,8 @@ import time
 
 import pytest
 
-from stepsum import identities, verify
+from stepsum import identities, jump_series, verify
 from stepsum.errors import ConfigurationError
-from stepsum.jump_series import integrate_kernel_times_step
 from stepsum.primes import sieve
 from stepsum.report import IdentityId
 from stepsum.verify import (
@@ -138,14 +137,20 @@ class TestRandomSetSweep:
     @pytest.mark.parametrize("exact", [False, True])
     def test_one_set_takes_eight_integrals(self, monkeypatch, exact):
         """Count, four power sums and four reciprocal power sums share the
-        k = 0 integral: 8 integrals per set, not 9."""
+        k = 0 integral: 8 integrals per set, not 9.  A float set takes
+        each through integrate_kernel_times_step; an exact set takes each
+        from one run tree (jump_series._run_tree) with its step value."""
+        module, name = (jump_series, "_run_tree") if exact else (
+            identities, "integrate_kernel_times_step"
+        )
+        original = getattr(module, name)
         calls = []
 
         def counted(*args):
             calls.append(args)
-            return integrate_kernel_times_step(*args)
+            return original(*args)
 
-        monkeypatch.setattr(identities, "integrate_kernel_times_step", counted)
+        monkeypatch.setattr(module, name, counted)
         reports = random_set_sweep(5, 1, exact=exact)
         assert len(reports) == 9
         assert all(r.passed for r in reports)
