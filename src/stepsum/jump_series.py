@@ -19,7 +19,8 @@ through power-kernel integrals without rounding: an exact series is held
 as integer numerators over one location denominator, with its step values
 in runs of consecutive jumps, each over its own denominator; the segment
 sums run in Python ints, the runs merge pairwise into one run tree
-(_run_tree), and a single Fraction is built per integral.  The Abel
+(_run_tree), where each run before the range adds only its total
+weight, and a single Fraction is built per integral.  The Abel
 identity's two terms, x**m * F(x) and m times the integral of
 y**(m-1) * F(y) from the first jump, both come from one such tree
 (_exact_abel): they stay separate terms, are put over one denominator
@@ -102,12 +103,9 @@ class Kernel:
         edge = self.lower_domain_edge
         if edge is not None and a <= edge:
             raise DomainError(
-                f"kernel {self.describe()} undefined on [{a}, {b}]: "
+                f"kernel {self.tag} undefined on [{a}, {b}]: "
                 f"lower bound must exceed {edge}"
             )
-
-    def describe(self):
-        return self.tag
 
     def segment_terms(self, values, lefts, rights):
         """value * antiderivative_diff(l, r) per segment, lazily, for
@@ -120,6 +118,7 @@ class _Power(Kernel):
     kernels are equal when their exponents are."""
 
     def __init__(self, exponent):
+        self.tag = f"y**{exponent}"
         self.exponent = exponent
         self.integer_exponent = ki = _integer_exponent(exponent)
         # the antiderivative is y**m / m, or log y for m = 0
@@ -152,9 +151,6 @@ class _Power(Kernel):
         """As Kernel.segment_terms, in C-level maps (_power_diffs);
         ``lefts`` is a sequence."""
         return map(mul, values, _power_diffs(lefts, rights, self._m))
-
-    def describe(self):
-        return f"y**{self.exponent}"
 
 
 def _integer_exponent(k):
@@ -275,8 +271,9 @@ class _IntegerForm(NamedTuple):
     the first k of them, so no running sum is wider than its own run's
     lcm.  ``span`` is _RUN, or every jump when the weights are integers,
     whose lcm is 1 however many there are.  Each lcm is taken in a
-    balanced tree of pairwise lcms (_lcm_tree), and a run's running sums
-    are accumulated from its scaled weights one at a time.
+    balanced tree of pairwise lcms (_scale_to_common_denominator), and a
+    run's running sums are accumulated from its scaled weights one at a
+    time.
     """
 
     loc_den: int
@@ -303,22 +300,17 @@ def _balanced(nodes, merge):
     return nodes[0]
 
 
-def _lcm_tree(ints):
-    """lcm of the ints, merged in a balanced tree (1 for none).
-
-    math.lcm(*ints) folds from the left, so every small int meets the
-    whole running lcm.
-    """
-    return _balanced(ints, math.lcm) if ints else 1
-
-
 def _scale_to_common_denominator(values):
     """(d, the ints v * d for v in values, lazily) with d the lcm of the
-    denominators; ints are their own scaled values, over d = 1."""
+    denominators; ints are their own scaled values, over d = 1.
+
+    The lcm is merged in a balanced tree: math.lcm(*dens) folds from the
+    left, so every small denominator would meet the whole running lcm.
+    """
     if all(type(v) is int for v in values):
         return 1, values
     dens = [int(v.denominator) for v in values]
-    d = _lcm_tree(dens)
+    d = _balanced(dens, math.lcm)
     return d, (int(v.numerator) * (d // vd) for v, vd in zip(values, dens))
 
 
@@ -344,7 +336,7 @@ class JumpSeries:
     _RUN consecutive jumps, each run over the lcm of its own weights'
     denominators, computed once on first use (_IntegerForm), so
     integration never renormalises a Fraction per jump.  A step value or
-    an integral merges the runs it spans pairwise, and a step value is
+    an integral merges the runs up to its end pairwise, and a step value is
     reduced to a Fraction each time it is asked for, and not kept.  So a
     running sum has the digits of one run's lcm, not of the lcm of every
     weight (about 1.44 x bits over the primes or the naturals up to x):
@@ -575,43 +567,33 @@ def _scaled_point(value, loc_den):
     return num // g, den // g
 
 
-def _sum_over_segments(leaves):
-    """Sum of consecutive segment terms n / (l * r), as an unreduced
-    triple (num, l, f): the sum is num over the product of the endpoint
-    denominators, which is l times the last of them and the first of them
-    times f.
+def _join_stretches(left, right):
+    """Two adjacent stretches of segment terms n / (l * r) as one.
 
-    ``leaves`` holds (n, l, r) per segment, each segment's r being the
-    next one's l.  Adjacent stretches merge pairwise, so operand sizes
-    stay balanced.  A stretch keeps its numerator over the product of its
-    endpoint denominators, stored once without the last factor and once
-    without the first, so an endpoint shared by two stretches enters the
-    sum once.
+    A stretch is an unreduced triple (num, l, f): its sum is num over the
+    product of its endpoint denominators, which is l times the last of
+    them and the first of them times f.  Stored once without the last
+    factor and once without the first, the endpoint two stretches share
+    enters their sum once.
     """
-    stretches = leaves
-    while len(stretches) > 1:
-        merged = [
-            (n1 * f2 + n2 * l1, l1 * l2, f1 * f2)
-            for (n1, l1, f1), (n2, l2, f2) in zip(stretches[::2], stretches[1::2])
-        ]
-        if len(stretches) % 2:
-            merged.append(stretches[-1])
-        stretches = merged
-    return stretches[0]
+    n1, l1, f1 = left
+    n2, l2, f2 = right
+    return n1 * f2 + n2 * l1, l1 * l2, f1 * f2
 
 
 def _merge(left, right):
     """Two adjacent nodes of a run tree as one.
 
-    A node covers consecutive segments and is (n, den, s, l, f, first,
-    last).  n / den is the sum of its weights, the rise of F across it.
-    With P the product of its endpoint denominators, l = P without the
-    last factor and f = P without the first, s / (den * P) is the sum of
-    its segments' kernel integrals times F counted from the node's start,
-    and first and last are the kernel's antiderivative at its ends over
-    their own denominators.  So the kernel's integral over the right
-    node's span is (last * l - first * f) / P, from its end points alone,
-    and the left node's rise times that integral joins the two sums.
+    A node covers consecutive segments, or none for a run before the
+    range (_rise_nodes), and is (n, den, s, l, f, first, last).  n / den
+    is the sum of its weights, the rise of F across it.  With P the
+    product of its endpoint denominators, l = P without the last factor
+    and f = P without the first, s / (den * P) is the sum of its
+    segments' kernel integrals times F counted from the node's start, and
+    first and last are the kernel's antiderivative at its ends over their
+    own denominators.  So the kernel's integral over the right node's
+    span is (last * l - first * f) / P, from its end points alone, and the
+    left node's rise times that integral joins the two sums.
     """
     n1, den1, s1, l1, f1, first, _ = left
     n2, den2, s2, l2, f2, first2, last = right
@@ -629,31 +611,36 @@ def _merge(left, right):
     )
 
 
+def _rise_nodes(runs, point):
+    """_merge's nodes for whole runs before a span that starts at
+    ``point``: each is its run's total weight, a rise that covers no
+    segment, so both its ends are ``point``."""
+    return [(prefix[-1], den, 0, 1, 1, point, point) for den, prefix in runs]
+
+
 def _run_sum(runs, num, den):
     """(n, den): the weights of ``runs`` plus num / den, unreduced."""
-    nodes = [(prefix[-1], d, 0, 1, 1, 0, 0) for d, prefix in runs]
-    return _balanced([*nodes, (num, den, 0, 1, 1, 0, 0)], _merge)[:2]
+    return _balanced([*_rise_nodes(runs, 0), (num, den, 0, 1, 1, 0, 0)], _merge)[:2]
 
 
 def _run_tree(form, m, a, b):
     """The run tree of the integral of y**(m-1) * F(y) over [a, b] (a < b,
-    m != 0), for an exact series' integer form: (root, rest, scale, r0,
-    i1, bn, bd).
+    m != 0), for an exact series' integer form: (root, rest, scale, i1,
+    bn, bd).
 
     Segment by segment, F-value times (right**m - left**m) / m, summed in
     integer numerators: the jump locations strictly inside (a, b) are
     ints over the series' location denominator, and the two partial end
     segments at a and b enter as separate rational terms, so nothing is
     rescaled to the denominators of a and b but the final sum.  Each run
-    of the integer form sums its own segments with its own running sums
-    (_power_node, _reciprocal_node), and the runs merge pairwise in a
-    balanced tree (_merge), so no running sum is put over the lcm of
+    of the integer form that meets [a, b] sums its own segments with its
+    own running sums (_power_node, _reciprocal_node), each run before it
+    enters as a rise at a (_rise_nodes), and the nodes merge pairwise in
+    a balanced tree (_merge), so no running sum is put over the lcm of
     every weight.
 
-    ``root`` is _merge's node over [a, b], with F counted from the start
-    of run ``r0``: its rise n / den is F just below b less the weights
-    before run r0, and m times the integral is s * scale / (den * rest)
-    plus, past run 0, those weights times the kernel's integral.  The
+    ``root`` is _merge's node over [a, b]: its rise n / den is F just
+    below b, and m times the integral is s * scale / (den * rest).  The
     first ``i1`` jumps lie below b, and bn / bd is b * loc_den in lowest
     terms.  Nothing is reduced here: the finishers
     (_exact_power_integral, _exact_abel) build one Fraction each.
@@ -665,35 +652,31 @@ def _run_tree(form, m, a, b):
     i0 = bisect_right(locs, an // ad)
     i1 = bisect_left(locs, -(-bn // bd))
     if m > 0:
-        ends = an**m, ad**m, bn**m, bd**m
-        node, first_den, scale = _power_node, 1, 1
+        # y**m = (n/d)**m / loc_den**m for a scaled point n/d: over
+        # (ad * bd * loc_den)**m, every point is an int
+        ad_m, bd_m = ad**m, bd**m
+        ends = an**m * bd_m, bn**m * ad_m, ad_m * bd_m
+        node, start, rest, scale = _power_node, ends[0], ends[2] * form.loc_den**m, 1
     else:
         # y**m = (d/n)**j * loc_den**j for a scaled point n/d, with j = -m
         j = -m
         ends = (ad**j, an**j), (bd**j, bn**j)
-        node, first_den, scale = _reciprocal_node, an**j, form.loc_den**j
+        node, start, rest, scale = _reciprocal_node, ad**j, an**j, form.loc_den**j
     # step values i0 .. i1 hold on [a, b], value i up to location i and
     # value i1 up to b
-    if len(form.runs) == 1:
-        r0 = 0
-        root = node(*form.runs[0], i0, i1, locs[i0:i1], True, True, m, ends)
-    else:
-        r0, k0 = form.run_of(i0)
-        r1, k1 = form.run_of(i1)
-        span = form.span
-        nodes = []
-        for r in range(r0, r1 + 1):
-            den, prefix = form.runs[r]
-            base = r * span
-            head, tail = r == r0, r == r1
-            lo, hi = k0 if head else 1, k1 if tail else span
-            inner = locs[i0 if head else base : i1 if tail else base + span + 1]
-            nodes.append(node(den, prefix, lo, hi, inner, head, tail, m, ends))
-        root = _balanced(nodes, _merge)
-    rest = first_den * root[4]
-    if m > 0:
-        rest *= ends[1] * ends[3] * form.loc_den**m
-    return root, rest, scale, r0, i1, bn, bd
+    r0, k0 = form.run_of(i0)
+    r1, k1 = form.run_of(i1)
+    span = form.span
+    nodes = _rise_nodes(form.runs[:r0], start)
+    for r in range(r0, r1 + 1):
+        den, prefix = form.runs[r]
+        base = r * span
+        head, tail = r == r0, r == r1
+        lo, hi = k0 if head else 1, k1 if tail else span
+        inner = locs[i0 if head else base : i1 if tail else base + span + 1]
+        nodes.append(node(den, prefix, lo, hi, inner, head, tail, m, ends))
+    root = _balanced(nodes, _merge)
+    return root, rest * root[4], scale, i1, bn, bd
 
 
 def _exact_power_integral(series, m, a, b):
@@ -701,17 +684,12 @@ def _exact_power_integral(series, m, a, b):
     from the run tree (_run_tree): one Fraction, or an int for m = 1 over
     integer data."""
     form = series._integer_form()
-    root, rest, scale, r0, *_ = _run_tree(form, m, a, b)
-    _, den, s, l, f, first, last = root
+    root, rest, scale, *_ = _run_tree(form, m, a, b)
+    _, den, s = root[:3]
     units = den * rest
     if len(form.runs) == 1 and m == 1 and units == 1:
         return s
-    result = Fraction(s * scale, units * m)
-    if r0:
-        # the nodes count F from the start of run r0
-        rise = (last * l - first * f) * scale
-        result += series.prefix_value(r0 * form.span) * Fraction(rise, rest * m)
-    return result
+    return Fraction(s * scale, units * m)
 
 
 def _exact_abel(series, x, m):
@@ -721,14 +699,13 @@ def _exact_abel(series, x, m):
     For an exact series, an int or Fraction x past the first jump and an
     int m != 0.  The tree's root gives both terms: its rise is F just
     below x, to which the weight at x is added when x is an atom, and
-    its sum is m times the integral.  The first jump is in run 0, so no
-    weights come before the tree.  The two terms stay apart until they
+    its sum is m times the integral.  The two terms stay apart until they
     are put over one denominator as ints, and one Fraction is built; an
     int only for m = 1, an int x and integer locations and weights, as
     x**m * F(x) - m * integral gives in ints.
     """
     form = series._integer_form()
-    root, rest, scale, _, i1, bn, bd = _run_tree(form, m, series.domain_min, x)
+    root, rest, scale, i1, bn, bd = _run_tree(form, m, series.domain_min, x)
     n, den, s = root[:3]
     wn, wd = 0, 1
     if bd == 1 and i1 < len(form.locations) and form.locations[i1] == bn:
@@ -752,47 +729,37 @@ def _power_node(den, prefix, lo, hi, inner, head, tail, m, ends):
     The run's step values prefix[lo], ..., prefix[hi] hold in order: on
     the segment from a to inner[0] if ``head``, on those between the
     locations ``inner``, and on the segment from inner[-1] to b if
-    ``tail``.  Every term is over ad**m * bd**m * loc_den**m, and the
-    segments between locations are summed before they are scaled.
+    ``tail``.  ``ends`` is (a's point, b's point, ad**m * bd**m), each
+    point the int y**m * (ad * bd * loc_den)**m, so a location q's point
+    is q**m * ad**m * bd**m.
     """
-    an_m, ad_m, bn_m, bd_m = ends
-    if not inner:
-        s = prefix[lo] * (bn_m * ad_m - an_m * bd_m)
-        return prefix[lo], den, s, 1, 1, an_m * bd_m, bn_m * ad_m
-    pw = inner if m == 1 else [q**m for q in inner]
-    start = lo + 1 if head else lo
-    between = prefix[start : start + len(pw) - 1]
-    s = sum(v * (r - l) for v, l, r in zip(between, pw, pw[1:])) * ad_m
+    a_point, b_point, c = ends
+    pw = [q**m * c for q in inner]
     if head:
-        s += prefix[lo] * (pw[0] * ad_m - an_m)
-        first = an_m * bd_m
-    else:
-        first = pw[0] * ad_m * bd_m
-    s *= bd_m
+        pw.insert(0, a_point)
     if tail:
-        s += prefix[hi] * (bn_m - pw[-1] * bd_m) * ad_m
-        last = bn_m * ad_m
-    else:
-        last = pw[-1] * ad_m * bd_m
-    return prefix[hi], den, s, 1, 1, first, last
+        pw.append(b_point)
+    s = sum(v * (r - l) for v, l, r in zip(prefix[lo : hi + 1], pw, pw[1:]))
+    return prefix[hi], den, s, 1, 1, pw[0], pw[-1]
 
 
 def _reciprocal_node(den, prefix, lo, hi, inner, head, tail, m, ends):
     """_merge's node for m < 0 over one run's segments (arguments as in
-    _power_node).  Each end point enters as (top, bottom), y**m /
-    loc_den**-m = top / bottom, and the segments are summed by
-    _sum_over_segments."""
+    _power_node).  Each point enters as (top, bottom), y**m /
+    loc_den**-m = top / bottom, ``ends`` holds a's and b's, and the
+    segment terms merge pairwise (_join_stretches)."""
     j = -m
     pw = [(1, q**j) for q in inner]
     if head:
         pw.insert(0, ends[0])
     if tail:
         pw.append(ends[1])
-    num, l, f = _sum_over_segments(
+    num, l, f = _balanced(
         [
             (v * (rt * lb - lt * rb), lb, rb)
             for v, (lt, lb), (rt, rb) in zip(prefix[lo : hi + 1], pw, pw[1:])
-        ]
+        ],
+        _join_stretches,
     )
     return prefix[hi], den, num, l, f, pw[0][0], pw[-1][0]
 

@@ -63,20 +63,20 @@ def _fraction_sum(terms):
     return Fraction(*terms[0]) if terms else Fraction(0)
 
 
-def sieve(limit, *, limit_cap=DEFAULT_LIMIT_CAP):
+def sieve(limit):
     """Sieve of Eratosthenes up to ``limit`` inclusive, over the odd numbers.
 
     The flags take one byte per odd integer up to ``limit``, about
-    limit/2 bytes; ``limit_cap`` bounds that allocation, and asking for
-    more raises ResourceError rather than attempting it.
+    limit/2 bytes; DEFAULT_LIMIT_CAP bounds that allocation, and asking
+    for more raises ResourceError rather than attempting it.
     """
     if not isinstance(limit, int) or isinstance(limit, bool):
         raise DomainError(f"sieve limit must be an int, got {limit!r}")
     if limit < 2:
         raise DomainError(f"sieve limit must be at least 2, got {limit}")
-    if limit > limit_cap:
+    if limit > DEFAULT_LIMIT_CAP:
         raise ResourceError(
-            f"sieve limit {limit} exceeds the configured cap {limit_cap}"
+            f"sieve limit {limit} exceeds the configured cap {DEFAULT_LIMIT_CAP}"
         )
     # flag i stands for the odd number 2*i + 1; 1 is not prime
     size = (limit + 1) // 2

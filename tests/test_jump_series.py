@@ -217,6 +217,33 @@ class TestIntegrateKernelTimesStep:
         b = integrate_kernel_times_step(inexact, Kernel.power(2), 2.0, 10.0)
         assert b == pytest.approx(float(a), rel=1e-14)
 
+    @pytest.mark.parametrize(
+        "locations, weights, kernel, a, b, bits",
+        [
+            # F is 0 on [3, 4), which gives no term
+            ([2.0, 3.0, 4.0], [1.0, -1.0, 2.0], Kernel.power(1), 2, 5, (11.5).hex()),
+            # F is 0 on [1e-200, 2): its ends are not rounded, and
+            # pow(1e-200, -2.0) would overflow
+            ([2, 3], [1, 1], Kernel.power(-3), 1e-200, 5, "0x1.1fdb97530eca8p-3"),
+            # 3 and 3 + 10**-30 round to one float: that segment is dropped
+            (
+                [2, 3, 3 + Fraction(1, 10**30), 5],
+                [1, 2, 3, 4],
+                INV_LOG,
+                2,
+                6,
+                "0x1.fa43b2adde552p+3",
+            ),
+        ],
+    )
+    def test_float_path_skips_zero_steps_and_collapsed_segments(
+        self, locations, weights, kernel, a, b, bits
+    ):
+        """The float path drops the segments where F is 0 and those whose
+        ends round to one float: pinned bit for bit."""
+        s = JumpSeries(locations, weights)
+        assert integrate_kernel_times_step(s, kernel, a, b).hex() == bits
+
     def test_closed_form_inv_log_matches_li(self):
         """A unit step from 2 against 1/log y reproduces the offset li
         through the kernel's closed-form Ei difference."""
@@ -357,9 +384,17 @@ def long_exact_series(draw):
     """More than two runs of atoms at rational locations over a drawn
     denominator (mostly not a power of two), with int and Fraction weights
     of both signs (or ints only), and bounds a <= b drawn at atoms, at run
-    edges, between atoms, before the first atom and past the last."""
+    edges, between atoms, before the first atom and past the last.  Half
+    the time the series has four to six runs and both bounds lie from the
+    last atom of the third run on, so that whole runs come before a."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(2 * RUN + 2, 3 * RUN + 1))
+    late = draw(st.booleans())
+    if late:
+        n = draw(st.integers(3 * RUN + 2, 6 * RUN))
+    else:
+        n = draw(st.integers(2 * RUN + 2, 3 * RUN + 1))
+    # the first atom a bound is drawn at or after
+    low = 3 * RUN if late else 0
     den = draw(st.sampled_from([1, 3, 7, 10, 12]))
     ints_only = draw(st.booleans())
     position, locations, weights = 0, [], []
@@ -373,17 +408,19 @@ def long_exact_series(draw):
 
     def bound(kind):
         if kind == "atom":
-            return rng.choice(locations)
+            return rng.choice(locations[low:])
         if kind == "edge":
-            return locations[rng.choice([RUN, 2 * RUN]) + rng.choice([-1, 0, 1])]
+            edge = rng.choice(range(max(low, RUN), n - 1, RUN))
+            return locations[edge + rng.choice([-1, 0, 1])]
         if kind == "between":
-            i = rng.randrange(n - 1)
+            i = rng.randrange(low, n - 1)
             return (2 * locations[i] + locations[i + 1]) / 3
         if kind == "before":
             return locations[0] / 2
         return locations[-1] + Fraction(rng.randint(1, 20), 7)
 
-    kinds = st.sampled_from(["atom", "edge", "between", "before", "past"])
+    names = ["atom", "edge", "between", "past"] + ([] if late else ["before"])
+    kinds = st.sampled_from(names)
     a, b = sorted((bound(draw(kinds)), bound(draw(kinds))))
     return locations, weights, a, b
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from stepsum.errors import DomainError, RangeError, ResourceError
-from stepsum.primes import EXACT_X_CAP, sieve
+from stepsum.primes import DEFAULT_LIMIT_CAP, EXACT_X_CAP, sieve
 
 
 def _trial_division_primes(limit):
@@ -66,7 +66,7 @@ class TestSieve:
 
     def test_limit_cap(self):
         with pytest.raises(ResourceError, match="cap"):
-            sieve(100, limit_cap=50)
+            sieve(DEFAULT_LIMIT_CAP + 1)
 
     def test_primes_array_is_read_only(self, table):
         with pytest.raises(TypeError):

@@ -179,3 +179,29 @@ def test_no_module_imports_a_name_it_never_uses():
     paths = sorted((root / "src" / "stepsum").glob("*.py"))
     paths += sorted((root / "tests").glob("*.py"))
     assert [line for path in paths for line in _unused_imports(path)] == []
+
+
+def _orphaned_private_definitions(paths):
+    """'file:line name' for each private module-level function or class
+    that no module in ``paths`` loads outside the definition itself, as a
+    bare name or as an attribute."""
+    defined, used = {}, set()
+    for path in paths:
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and (
+                node.name.startswith("_") and not node.name.startswith("__")
+            ):
+                defined[node.name] = f"{path.name}:{node.lineno}"
+                names.discard(node.name)
+            used |= names
+    return [f"{line} {name}" for name, line in defined.items() if name not in used]
+
+
+def test_no_private_helper_is_left_unused():
+    """A refactor that leaves a private helper behind fails here: helpers
+    that only tests or the benchmark call do not count as used."""
+    root = Path(__file__).resolve().parent.parent
+    paths = sorted((root / "src" / "stepsum").glob("*.py"))
+    assert _orphaned_private_definitions(paths) == []
