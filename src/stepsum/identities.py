@@ -33,6 +33,7 @@ before it loops.
 
 import math
 from fractions import Fraction
+from itertools import chain
 from numbers import Rational, Real
 
 from . import staircases
@@ -223,9 +224,10 @@ def harmonic_via_identity(x, *, exact=False):
 
     H(x) = (floor(x) + floor(x)**2) / (2 x**2) plus the integral from 1 to x
     of (floor(y) + floor(y)**2) / y**3, the integral summed in closed form
-    over the unit segments of the floor function.  Exact mode adds the
-    segment terms pairwise over their lcm (_segment_sum), with its own
-    code, not the oracle's, and refuses x past EXACT_X_CAP.
+    over the unit segments of the floor function.  Float mode streams the
+    terms into one math.fsum, so its memory does not grow with x.  Exact
+    mode adds the segment terms pairwise over their lcm (_segment_sum),
+    with its own code, not the oracle's, and refuses x past EXACT_X_CAP.
     """
     _check_at_least(x, 1, "harmonic argument", exact)
     n = math.floor(x)
@@ -236,11 +238,12 @@ def harmonic_via_identity(x, *, exact=False):
             total += (n + n * n) * (xq - n) * (xq + n) / (2 * n * n * xq * xq)
         return total
     fx = float(x)
-    terms = [(n + n * n) / (2.0 * fx * fx)]
-    terms.extend((2.0 * i + 1.0) / (2.0 * i * (i + 1.0)) for i in range(1, n))
+    head = ((n + n * n) / (2.0 * fx * fx),)
+    segments = ((2.0 * i + 1.0) / (2.0 * i * (i + 1.0)) for i in range(1, n))
+    tail = ()
     if fx > n:
-        terms.append((n + n * n) * (fx - n) * (fx + n) / (2.0 * n * n * fx * fx))
-    return math.fsum(terms)
+        tail = ((n + n * n) * (fx - n) * (fx + n) / (2.0 * n * n * fx * fx),)
+    return math.fsum(chain(head, segments, tail))
 
 
 def iter_harmonic_identity(n_max):

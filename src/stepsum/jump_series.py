@@ -264,29 +264,29 @@ _RUN = 128
 class _IntegerForm(NamedTuple):
     """An exact series as Python ints: location i is locations[i] / loc_den,
     loc_den the lcm of every location's denominator, and the running sums
-    are kept in ``runs`` of ``span`` consecutive jumps.
+    are kept in ``runs`` of _RUN consecutive jumps.
 
     Run r is a pair (den, prefix): den is the lcm of the denominators of
-    weights r*span .. (r+1)*span - 1, and prefix[k] / den is the sum of
+    weights r*_RUN .. (r+1)*_RUN - 1, and prefix[k] / den is the sum of
     the first k of them, so no running sum is wider than its own run's
-    lcm.  ``span`` is _RUN, or every jump when the weights are integers,
-    whose lcm is 1 however many there are.  Each lcm is taken in a
-    balanced tree of pairwise lcms (_scale_to_common_denominator), and a
-    run's running sums are accumulated from its scaled weights one at a
-    time.
+    lcm.  Each lcm is taken in a balanced tree of pairwise lcms
+    (_scale_to_common_denominator), and a run's running sums are
+    accumulated from its scaled weights one at a time.  ``integral`` is
+    true when every weight is an integer: then every den is 1, and step
+    values and the integrals and Abel sums that keep ints stay ints.
     """
 
     loc_den: int
     locations: tuple
-    span: int
+    integral: bool
     runs: tuple
 
     def run_of(self, index):
         """(r, k): step value ``index`` is runs[r]'s prefix[k], the sum of
         the weights before the run plus prefix[k] / den.  Run r holds the
-        step values r*span + 1 .. (r+1)*span, and run 0 also value 0."""
-        r = max(index - 1, 0) // self.span
-        return r, index - r * self.span
+        step values r*_RUN + 1 .. (r+1)*_RUN, and run 0 also value 0."""
+        r = max(index - 1, 0) // _RUN
+        return r, index - r * _RUN
 
 
 def _balanced(nodes, merge):
@@ -334,15 +334,18 @@ class JumpSeries:
     An exact series (every location and weight rational) does not add up
     its running sums as Fractions: they are integer numerators, in runs of
     _RUN consecutive jumps, each run over the lcm of its own weights'
-    denominators, computed once on first use (_IntegerForm), so
-    integration never renormalises a Fraction per jump.  A step value or
-    an integral merges the runs up to its end pairwise, and a step value is
-    reduced to a Fraction each time it is asked for, and not kept.  So a
-    running sum has the digits of one run's lcm, not of the lcm of every
-    weight (about 1.44 x bits over the primes or the naturals up to x):
-    at primes.EXACT_X_CAP, the exact floor over the naturals builds its
-    series and its run tree, for the step value and the integral at
-    once, in about 0.10 s, with a traced peak of about 9 MiB.
+    denominators (1 for integer weights), computed once on first use
+    (_IntegerForm), so integration never renormalises a Fraction per jump.
+    A step value or an integral merges the runs up to its end pairwise,
+    and a step value is reduced each time it is asked for, and not kept:
+    to an int when every weight is an integer (_IntegerForm.integral), to
+    a Fraction otherwise, the rule the exact integrals and Abel sums
+    follow too.  So a running sum has the digits of one run's lcm, not of
+    the lcm of every weight (about 1.44 x bits over the primes or the
+    naturals up to x): at primes.EXACT_X_CAP, the exact floor over the
+    naturals builds its series and its run tree, for the step value and
+    the integral at once, in about 0.10 s, with a traced peak of about
+    9 MiB.
     """
 
     __slots__ = ("_locations", "_weights", "_prefix", "_is_exact", "_integer")
@@ -392,33 +395,30 @@ class JumpSeries:
     def prefix_value(self, index):
         """Sum of the first ``index`` weights (0 <= index <= len).
 
-        An exact series returns an int when every weight is an integer,
-        a Fraction otherwise; past its first run, the run totals before
-        the value are merged pairwise (_merge).
+        An exact series merges the run totals before the value pairwise
+        (_merge) and returns an int when every weight is an integer, a
+        Fraction otherwise.
         """
         if not self._is_exact:
             return self._prefix[index]
         form = self._integer_form()
-        if len(form.runs) == 1:
-            den, prefix = form.runs[0]
-            return prefix[index] if den == 1 else Fraction(prefix[index], den)
         r, k = form.run_of(index)
         den, prefix = form.runs[r]
-        return Fraction(*_run_sum(form.runs[:r], prefix[k], den))
+        nodes = [*_rise_nodes(form.runs[:r], 0), (prefix[k], den, 0, 1, 1, 0, 0)]
+        n, d = _balanced(nodes, _merge)[:2]
+        return n if form.integral else Fraction(n, d)
 
     def _integer_form(self):
         """An exact series' locations and step values as ints (_IntegerForm)."""
         if self._integer is None:
             loc_den, locs = _scale_to_common_denominator(self._locations)
             weights = self._weights
-            span = _RUN
-            if all(int(w.denominator) == 1 for w in weights):
-                span = max(len(weights), 1)
             runs = tuple(
-                _run(weights[i : i + span]) for i in range(0, len(weights), span)
+                _run(weights[i : i + _RUN]) for i in range(0, len(weights), _RUN)
             )
+            integral = all(den == 1 for den, _ in runs)
             self._integer = _IntegerForm(
-                loc_den, tuple(locs), span, runs or ((1, (0,)),)
+                loc_den, tuple(locs), integral, runs or ((1, (0,)),)
             )
         return self._integer
 
@@ -476,32 +476,16 @@ def _float_steps(series, i0, i1):
     rounded once to a float, and as many items that are true where the
     exact value is nonzero.
 
-    An exact series' values are walked run by run: run r's values are
-    prefix[k] / den over the weights of the runs before it, an offset
-    that is carried from run to run, so no run total is merged twice.
-    Each value is one int true division of its unreduced numerator and
-    denominator, correctly rounded like the float of its Fraction.
+    An exact series' values are its exact step value i0 plus the weights
+    after it, added one at a time; the float of each int or Fraction is
+    correctly rounded.
     """
-    if not series.is_exact:
+    if series.is_exact:
+        start = series.prefix_value(i0)
+        values = list(accumulate(series.weights[i0:i1], initial=start))
+    else:
         values = series._prefix[i0 : i1 + 1]
-        return list(map(float, values)), values
-    form = series._integer_form()
-    span = form.span
-    nums, dens = [], []
-    top, bottom = 0, 1  # the weights of the runs before run r
-    for r, (den, prefix) in enumerate(form.runs):
-        base = r * span
-        if r and base >= i1:
-            break
-        g = math.gcd(bottom, den)
-        c_den, c_bottom = den // g, bottom // g
-        lo, hi = max(i0 - base, r > 0), min(i1 - base, span)
-        if lo <= hi:
-            shift = top * c_den
-            nums.extend([shift + p * c_bottom for p in prefix[lo : hi + 1]])
-            dens.extend(repeat(bottom * c_den, hi - lo + 1))
-        top, bottom = top * c_den + prefix[-1] * c_bottom, bottom * c_den
-    return list(map(truediv, nums, dens)), nums
+    return list(map(float, values)), values
 
 
 def integrate_kernel_times_step(series, kernel, a, b):
@@ -512,9 +496,11 @@ def integrate_kernel_times_step(series, kernel, a, b):
     Power kernels with an integral exponent other than -1 keep rational
     data rational: the segments are summed in Python ints (see
     _exact_power_integral) and the result is a Fraction, or an int for
-    k = 0 over integer data.  Otherwise each F-value is rounded once to a
-    float (_float_steps) and the segment terms (Kernel.segment_terms) are
-    added in one correctly rounded sum.
+    k = 0 when the weights, the locations and the bounds are integers.
+    Otherwise each F-value, accumulated from one exact step value if the
+    series is exact, is rounded once to a float (_float_steps), and the
+    segment terms (Kernel.segment_terms) are added in one correctly
+    rounded sum.
     """
     _check_finite_point(a)
     _check_finite_point(b)
@@ -618,11 +604,6 @@ def _rise_nodes(runs, point):
     return [(prefix[-1], den, 0, 1, 1, point, point) for den, prefix in runs]
 
 
-def _run_sum(runs, num, den):
-    """(n, den): the weights of ``runs`` plus num / den, unreduced."""
-    return _balanced([*_rise_nodes(runs, 0), (num, den, 0, 1, 1, 0, 0)], _merge)[:2]
-
-
 def _run_tree(form, m, a, b):
     """The run tree of the integral of y**(m-1) * F(y) over [a, b] (a < b,
     m != 0), for an exact series' integer form: (root, rest, scale, i1,
@@ -666,14 +647,13 @@ def _run_tree(form, m, a, b):
     # value i1 up to b
     r0, k0 = form.run_of(i0)
     r1, k1 = form.run_of(i1)
-    span = form.span
     nodes = _rise_nodes(form.runs[:r0], start)
     for r in range(r0, r1 + 1):
         den, prefix = form.runs[r]
-        base = r * span
+        base = r * _RUN
         head, tail = r == r0, r == r1
-        lo, hi = k0 if head else 1, k1 if tail else span
-        inner = locs[i0 if head else base : i1 if tail else base + span + 1]
+        lo, hi = k0 if head else 1, k1 if tail else _RUN
+        inner = locs[i0 if head else base : i1 if tail else base + _RUN + 1]
         nodes.append(node(den, prefix, lo, hi, inner, head, tail, m, ends))
     root = _balanced(nodes, _merge)
     return root, rest * root[4], scale, i1, bn, bd
@@ -681,13 +661,14 @@ def _run_tree(form, m, a, b):
 
 def _exact_power_integral(series, m, a, b):
     """Integral of y**(m-1) * F(y) over [a, b] (a < b, m != 0), exactly,
-    from the run tree (_run_tree): one Fraction, or an int for m = 1 over
-    integer data."""
+    from the run tree (_run_tree): one Fraction, or an int for m = 1 when
+    every weight (_IntegerForm.integral), location and bound is an
+    integer."""
     form = series._integer_form()
     root, rest, scale, *_ = _run_tree(form, m, a, b)
     _, den, s = root[:3]
     units = den * rest
-    if len(form.runs) == 1 and m == 1 and units == 1:
+    if form.integral and m == 1 and units == 1:
         return s
     return Fraction(s * scale, units * m)
 
@@ -701,8 +682,10 @@ def _exact_abel(series, x, m):
     below x, to which the weight at x is added when x is an atom, and
     its sum is m times the integral.  The two terms stay apart until they
     are put over one denominator as ints, and one Fraction is built; an
-    int only for m = 1, an int x and integer locations and weights, as
-    x**m * F(x) - m * integral gives in ints.
+    int only for m = 1, an int x, integer locations and integer weights
+    (_IntegerForm.integral), where the step value and the integral are
+    ints too.  So the type is the one _abel gives of the two, even where
+    the weights up to x are integers and later ones are not.
     """
     form = series._integer_form()
     root, rest, scale, i1, bn, bd = _run_tree(form, m, series.domain_min, x)
@@ -718,7 +701,7 @@ def _exact_abel(series, x, m):
     # x**m * (n/den + wn/wd) - s * scale / (den * rest)
     num = xn * (n * wd + wn * den) * rest - s * scale * xd * wd
     units = xd * wd * den * rest
-    if units == 1 and m == 1 and type(x) is int:
+    if form.integral and units == 1 and m == 1 and type(x) is int:
         return num
     return Fraction(num, units)
 

@@ -28,9 +28,10 @@ Preparation is lazy.  Each store covers the primes up to the largest x
 asked of it so far and grows when a query goes past it, so no term above
 x is prepared on behalf of a query at x.  The stores hold no PrimeTable
 oracle result and live exactly as long as the table.  Exact staircases
-are not kept: the integer form of an exact series puts its running sums
-over the common denominator of its own prefix, so nothing would carry
-over from one query to the next.
+are not kept.  Each run of an exact series' running sums is over its own
+lcm, so one could be kept and grown like these stores, but no workload
+asks one table for exact values twice: the benchmark's exact prime
+queries are one-shot CLI calls, each on a new table.
 """
 
 import math

@@ -162,6 +162,19 @@ class TestHarmonic:
             assert type(got) is Fraction
             assert got == want
 
+    def test_float_identity_streams_its_terms(self):
+        """At 10**6 the float identity adds its segment terms without
+        holding them (a list of them peaked at about 31 MiB), and keeps
+        its pinned bits."""
+        tracemalloc.start()
+        try:
+            value = harmonic_via_identity(10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert value.hex() == "0x1.cc9137a1df274p+3"
+        assert peak <= 2**20
+
     def test_iterator_matches_direct_running_sum(self):
         total = Fraction(0)
         for n, via in islice(iter_harmonic_identity(2000), 2000):

@@ -2,6 +2,7 @@
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import pytest
@@ -347,7 +348,7 @@ class TestIntegerPath:
                 [Fraction(i, 3) for i in range(1, 2 * RUN + 40)],
                 [Fraction((-1) ** i, i) for i in range(1, 2 * RUN + 40)],
             ),
-            # integer weights are one run however many there are
+            # integer weights are in runs of RUN too, each over 1
             (
                 list(range(1, 2 * RUN + 40)),
                 [(-1) ** i * i for i in range(2 * RUN + 39)],
@@ -356,24 +357,22 @@ class TestIntegerPath:
     )
     def test_integer_form_keeps_one_lcm_per_run(self, locations, weights):
         """The locations are ints over math.lcm of their denominators; each
-        run of weights is math.lcm of its denominators and the running
-        sums of a plain loop over it."""
+        run of RUN weights is math.lcm of its denominators and the running
+        sums of a plain loop over it; ``integral`` says every weight is an
+        integer."""
         form = JumpSeries(locations, weights)._integer_form()
         loc_den = math.lcm(*(Fraction(v).denominator for v in locations))
         assert form.loc_den == loc_den
         assert form.locations == tuple(Fraction(v) * loc_den for v in locations)
-        span = RUN
-        if all(Fraction(w).denominator == 1 for w in weights):
-            span = max(len(weights), 1)
+        assert form.integral == all(Fraction(w).denominator == 1 for w in weights)
         runs = []
-        for start in range(0, len(weights), span):
-            run = [Fraction(w) for w in weights[start : start + span]]
+        for start in range(0, len(weights), RUN):
+            run = [Fraction(w) for w in weights[start : start + RUN]]
             den = math.lcm(*(w.denominator for w in run))
             prefix = [0]
             for w in run:
                 prefix.append(prefix[-1] + w.numerator * (den // w.denominator))
             runs.append((den, tuple(prefix)))
-        assert form.span == span
         assert form.runs == (tuple(runs) or ((1, (0,)),))
         sums = [v for _, prefix in form.runs for v in prefix]
         assert all(type(v) is int for v in (*form.locations, *sums))
@@ -528,6 +527,29 @@ class TestExactAbel:
             out = identities._abel_over(JumpSeries(locations, weights), x, k, k + 1)
             assert type(out) is Fraction
 
+    @pytest.mark.parametrize("ints", [True, False])
+    def test_routes_take_the_type_of_abel(self, ints):
+        """Over two runs, with int weights in the first and Fraction weights
+        in the second unless ``ints``, the three exact Abel routes give
+        the value and type that _abel gives of the step value and the
+        integral: ints only where every weight is an integer, even at an x
+        in the run of int weights."""
+        locations = list(range(1, 2 * RUN + 1))
+        weights = [1] * RUN + [q if ints else Fraction(1, q) for q in locations[RUN:]]
+        s = JumpSeries(locations, weights)
+        for x in (5, RUN, 2 * RUN):
+            for got, k in (
+                (identities.count_via_abel(s, x), 0),
+                (power_sum_via_abel(s, x, 2), 2),
+                (reciprocal_power_sum_via_abel(s, x, 1), -3),
+            ):
+                integral = integrate_kernel_times_step(s, Kernel.power(k), 1, x)
+                want = identities._abel(x, k + 1, s.value(x), integral)
+                assert got == want
+                assert type(got) is type(want)
+                if k == 0:
+                    assert type(got) is (int if ints else Fraction)
+
 
 class TestFloatOverExactSeries:
     @pytest.fixture(scope="class")
@@ -551,14 +573,20 @@ class TestFloatOverExactSeries:
     @settings(max_examples=40, deadline=None)
     @given(long_exact_series())
     def test_step_values_rounded_once(self, case):
-        """Walking the runs with one offset each gives every step value
-        as the float of its Fraction."""
-        locations, weights, _, _ = case
+        """Accumulating the weights from an exact step value gives every
+        step value as the float of its Fraction, from the first value on
+        and from the first one that an integral over [a, b] reads."""
+        locations, weights, a, b = case
         s = JumpSeries(locations, weights)
-        values, nonzero = jump_series._float_steps(s, 0, len(s))
-        exact = [s.prefix_value(i) for i in range(len(s) + 1)]
-        assert values == [float(v) for v in exact]
-        assert [bool(v) for v in nonzero] == [bool(v) for v in exact]
+        spans = [(0, len(s))]
+        if a < b:
+            # the values the integral over [a, b] reads
+            spans.append((bisect_right(locations, a), bisect_left(locations, b)))
+        for i0, i1 in spans:
+            values, nonzero = jump_series._float_steps(s, i0, i1)
+            exact = [s.prefix_value(i) for i in range(i0, i1 + 1)]
+            assert values == [float(v) for v in exact]
+            assert [bool(v) for v in nonzero] == [bool(v) for v in exact]
 
 
 # -----------------------------------------------------------------------

@@ -5,17 +5,21 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import math
 import os
 import pkgutil
 import subprocess
 import sys
+from array import array
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import stepsum
-from stepsum import cli
-from stepsum.primes import PrimeTable
+from stepsum import analytic, cli, identities, jump_series, staircases, verify
+from stepsum.jump_series import INV_LOG, Y_OVER_LOG, JumpSeries, Kernel
+from stepsum.primes import PrimeTable, sieve
 from stepsum.report import IdentityId
 from stepsum.verify import POINTWISE, ROUTES
 
@@ -104,6 +108,114 @@ def test_every_pointwise_identity_has_a_route_pair():
         assert identity_route.lower == direct_route.lower
 
 
+def _oracle(*args, **kwargs):
+    raise AssertionError("an identity route called a direct oracle")
+
+
+def _scaled(values):
+    return (v * (1 + 2**-20) for v in values)
+
+
+def test_identity_routes_rest_on_their_integrals_not_their_oracles(monkeypatch):
+    """The identity routes and their oracles share only input data.
+
+    With every summing oracle made to raise, each identity route of
+    ROUTES and each set identity still returns, in float and exact mode.
+    PrimeTable.pi is not poisoned: it is the count oracle, and the prime
+    routes share it as input data, through table.pi and table.primes_leq,
+    to find the primes up to x.  Then each route's integral machinery is
+    perturbed: the power kernels' segment integrals (_power_diffs) and the
+    log kernels' segment terms scaled by 1 + 2**-20, the prepared atom
+    terms scaled alike, and 1 added to the sum of the exact run tree's root
+    and to the exact harmonic segment sum; every result moves.  The float
+    harmonic route sums its unit segments in closed form inside
+    harmonic_via_identity, so it is only poisoned.  The li route's two li
+    terms cancel bit for bit, so its result rests on the atom sum alone.
+    """
+    for name in ("prime_power_sum", "reciprocal_sum", "log_weight_sum"):
+        monkeypatch.setattr(PrimeTable, name, _oracle)
+    monkeypatch.setattr(identities, "harmonic_direct", _oracle)
+    monkeypatch.setattr(verify, "_direct_power_sum", _oracle)
+
+    routes = [
+        (key, exact)
+        for key in POINTWISE.values()
+        for exact in (False, True)
+        if ROUTES[key].exact or not exact
+    ]
+    xs = (97, 1000.5)
+    locs = [Fraction(3 + i, 3) for i in range(300)]
+
+    def set_calls(exact):
+        q = locs if exact else list(map(float, locs))
+        h = JumpSeries(q, [1 / v for v in q])
+        g = JumpSeries(q, q)
+        x = q[-1] if exact else float(q[-1])
+        mid = Fraction(401, 3) if exact else 401 / 3
+        return [
+            identities.count_via_abel(h, x),
+            identities.power_sum_via_abel(h, mid, 2),
+            identities.reciprocal_power_sum_via_abel(g, x, 1),
+        ]
+
+    def results():
+        # a fresh table each time, so no prepared store outlives a patch
+        out = {}
+        for (function, method), exact in routes:
+            for x in xs:
+                out[function, method, exact, x] = ROUTES[function, method].call(
+                    sieve(1001), x, exact
+                )
+        for exact in (False, True):
+            for i, value in enumerate(set_calls(exact)):
+                out["set identity", i, exact] = value
+        return out
+
+    base = results()
+    assert len(base) == len(routes) * len(xs) + 6
+
+    power_diffs = jump_series._power_diffs
+    segment_terms = Kernel.segment_terms
+    atom_terms = staircases._atom_terms
+    run_tree = jump_series._run_tree
+    segment_sum = identities._segment_sum
+
+    def shifted_run_tree(*args):
+        root, *rest = run_tree(*args)
+        return (*root[:2], root[2] + 1, *root[3:]), *rest
+
+    with monkeypatch.context() as perturbed:
+        perturbed.setattr(
+            jump_series, "_power_diffs", lambda *a: _scaled(power_diffs(*a))
+        )
+        perturbed.setattr(
+            Kernel, "segment_terms", lambda *a: _scaled(segment_terms(*a))
+        )
+        perturbed.setattr(
+            staircases, "_atom_terms", lambda *a: array("d", _scaled(atom_terms(*a)))
+        )
+        perturbed.setattr(jump_series, "_run_tree", shifted_run_tree)
+        perturbed.setattr(identities, "_segment_sum", lambda n: segment_sum(n) + 1)
+        moved = results()
+    for key, value in base.items():
+        if key[:3] == ("harmonic", "identity", False):
+            continue
+        assert moved[key] != value, key
+
+    for x in map(float, xs):
+        table = sieve(1001)
+        atoms = staircases.atom_sum(table, "log_weight", Y_OVER_LOG, 2.0, x)
+        # the density -1/y integrates y/log y to minus INV_LOG's integral,
+        # which is li_from_2's value bit for bit
+        li = analytic.li_from_2(x)
+        assert INV_LOG.antiderivative_diff(2.0, x) == li.value
+        with monkeypatch.context() as no_li:
+            no_li.setattr(analytic, "li_from_2", lambda x: li._replace(value=0.0))
+            assert analytic.prime_count_via_li(table, x) == atoms + 1.0
+        got = analytic.prime_count_via_li(table, x)
+        assert abs(got - (atoms + 1.0)) <= 2 * math.ulp(li.value)
+
+
 def test_every_exported_name_resolves():
     """A name removed from a module must leave its __all__ too."""
     modules = [stepsum] + [
@@ -181,27 +293,38 @@ def test_no_module_imports_a_name_it_never_uses():
     assert [line for path in paths for line in _unused_imports(path)] == []
 
 
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
 def _orphaned_private_definitions(paths):
-    """'file:line name' for each private module-level function or class
-    that no module in ``paths`` loads outside the definition itself, as a
-    bare name or as an attribute."""
+    """'file:line name' for each private module-level function, class or
+    constant (an assignment target such as _RUN) that no module in
+    ``paths`` loads outside the definition itself, as a bare name or as
+    an attribute."""
     defined, used = {}, set()
     for path in paths:
         for node in ast.parse(path.read_text(), filename=str(path)).body:
             names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
             names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and (
-                node.name.startswith("_") and not node.name.startswith("__")
-            ):
-                defined[node.name] = f"{path.name}:{node.lineno}"
-                names.discard(node.name)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, ast.Assign):
+                targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                targets = [node.target.id]
+            else:
+                targets = []
+            for name in filter(_private, targets):
+                defined[name] = f"{path.name}:{node.lineno}"
+                names.discard(name)
             used |= names
     return [f"{line} {name}" for name, line in defined.items() if name not in used]
 
 
 def test_no_private_helper_is_left_unused():
-    """A refactor that leaves a private helper behind fails here: helpers
-    that only tests or the benchmark call do not count as used."""
+    """A refactor that leaves a private helper or constant behind fails
+    here: names that only tests or the benchmark use do not count."""
     root = Path(__file__).resolve().parent.parent
     paths = sorted((root / "src" / "stepsum").glob("*.py"))
     assert _orphaned_private_definitions(paths) == []
