@@ -6,10 +6,12 @@ the integral is evaluated in closed form.  The set routes and the prime
 routes are one Abel identity, written once in _abel: over the atoms (q, w)
 of a step F, the sum of w * q**m for q <= x is
 x**m * F(x) - m * integral of y**(m-1) * F(y); each route picks F and m.
-The set routes, the naturals and the exact prime routes take F(x) and the
-integral from a JumpSeries (jump_series); the float prime routes read both
-from the prefix sums that stepsum.staircases prepares once per table.
-The naturals' harmonic route sums the floor function's segments itself.
+The set routes and the exact routes over the naturals and the primes take
+F(x) and the integral from a JumpSeries (jump_series); the float prime
+routes read both from the prefix sums that stepsum.staircases prepares
+once per table, and the float floor and triangular routes stream the
+naturals' staircase in O(1) memory (_naturals_abel).  The naturals'
+harmonic route sums the floor function's segments itself.
 Each function has a direct-summation counterpart (in primes.PrimeTable or
 harmonic_direct) that serves as its oracle in the test suite; the two
 sides never share code beyond the input data.
@@ -22,7 +24,7 @@ Exact mode accepts any rationals (int, Fraction, gmpy2.mpq) and turns
 every check into an equality; jump_series does the exact integrals in
 integer arithmetic and hands back ints or Fractions, so no route depends
 on a fast rational type.  Over an exact series at an int or Fraction x,
-_abel_over takes F(x) and the integral from one run tree and reduces
+the first jump included, _abel_over takes F(x) and the integral from one run tree and reduces
 once (jump_series._exact_abel): the boundary term and the integral are
 still two terms, combined over one denominator in ints, and the result
 is the rational, and the type, that _abel gives.  The exact sums over
@@ -33,8 +35,10 @@ before it loops.
 
 import math
 from fractions import Fraction
-from itertools import chain
+from functools import reduce
+from itertools import accumulate, chain, repeat
 from numbers import Rational, Real
+from operator import add, truediv
 
 from . import staircases
 from .errors import DomainError, ResourceError
@@ -42,6 +46,7 @@ from .jump_series import (
     JumpSeries,
     Kernel,
     integrate_kernel_times_step,
+    _balanced,
     _exact_abel,
     _rational_pow,
 )
@@ -91,21 +96,16 @@ def _abel_over(series, x, k, m):
     """_abel over a JumpSeries F, with m = k + 1.  Both exponents are
     passed, so neither is derived from the other in float arithmetic.
 
-    Over an exact series, at an int or Fraction x past the first jump and
-    an int k != -1, F(x) and the integral come from one run tree and are
-    combined in ints (jump_series._exact_abel): the same rational, of the
-    same type, as _abel of the step value and the integral.
+    Over an exact series, at an int or Fraction x from the first jump on
+    and an int k != -1, F(x) and the integral come from one run tree and
+    are combined in ints (jump_series._exact_abel): the same rational, of
+    the same type, as _abel of the step value and the integral.  The rest
+    (floats, k = -1, other types of x or k) takes _abel.
     """
     _require_point_at_or_after(series, x)
     a = series.domain_min
     kernel = Kernel.power(k)
-    if (
-        x > a
-        and series.is_exact
-        and type(x) in (int, Fraction)
-        and type(k) is int
-        and k != -1
-    ):
+    if series.is_exact and type(x) in (int, Fraction) and type(k) is int and k != -1:
         kernel.check_interval(a, x)
         return _exact_abel(series, x, m)
     step = series.value(x)
@@ -168,10 +168,8 @@ def _check_at_least(x, lower, what, exact=False):
         _check_exact_x(x)
 
 
-def _point(x, exact):
-    if exact:
-        return x if isinstance(x, Rational) else Fraction(x)
-    return float(x)
+def _exact_point(x):
+    return x if isinstance(x, Rational) else Fraction(x)
 
 
 def natural_reciprocal_series(n, *, exact=False):
@@ -200,23 +198,26 @@ def harmonic_direct(x, *, exact=False):
     return math.fsum(1.0 / i for i in range(1, n + 1))
 
 
+def _add_pairs(left, right):
+    """Two (numerator, denominator) pairs of ints as one, over their lcm,
+    unreduced."""
+    (num1, den1), (num2, den2) = left, right
+    g = math.gcd(den1, den2)
+    return num1 * (den2 // g) + num2 * (den1 // g), den1 // g * den2
+
+
 def _segment_sum(n):
     """Sum of the segment terms (2i+1) / (2i(i+1)) for i = 1..n-1, exactly.
 
     The identity route's own summation: each term enters as an int pair,
-    adjacent runs merge two at a time over the lcm of their denominators,
-    and one Fraction is reduced at the end.  No term is regrouped.
+    adjacent runs merge two at a time over the lcm of their denominators
+    (jump_series._balanced, _add_pairs), and one Fraction is reduced at
+    the end.  No term is regrouped.
     """
-    runs = [(2 * i + 1, 2 * i * (i + 1)) for i in range(1, n)]
-    while len(runs) > 1:
-        merged = []
-        for (num1, den1), (num2, den2) in zip(runs[::2], runs[1::2]):
-            g = math.gcd(den1, den2)
-            merged.append((num1 * (den2 // g) + num2 * (den1 // g), den1 // g * den2))
-        if len(runs) % 2:
-            merged.append(runs[-1])
-        runs = merged
-    return Fraction(*runs[0]) if runs else Fraction(0)
+    if n < 2:
+        return Fraction(0)
+    terms = [(2 * i + 1, 2 * i * (i + 1)) for i in range(1, n)]
+    return Fraction(*_balanced(terms, _add_pairs))
 
 
 def harmonic_via_identity(x, *, exact=False):
@@ -232,7 +233,7 @@ def harmonic_via_identity(x, *, exact=False):
     _check_at_least(x, 1, "harmonic argument", exact)
     n = math.floor(x)
     if exact:
-        xq = _point(x, True)
+        xq = _exact_point(x)
         total = Fraction(n + n * n, 2) / (xq * xq) + _segment_sum(n)
         if xq > n:
             total += (n + n * n) * (xq - n) * (xq + n) / (2 * n * n * xq * xq)
@@ -263,24 +264,49 @@ def iter_harmonic_identity(n_max):
         yield n, Fraction(n + n * n, 2 * n * n) + integral
 
 
+def _naturals_abel(x, k, m, exact):
+    """_abel over the naturals' reciprocal series h (atoms (i, 1/i) for
+    i <= x), with m = k + 1.
+
+    Exact mode takes natural_reciprocal_series and refuses x past
+    EXACT_X_CAP.  Float mode streams it, in O(1) memory: the step values
+    H(1), ..., H(n) accumulate 1/i from the left, on the unit segments
+    from 1 to n and on [n, x] when x > n, and H(n) comes from a plain
+    left-to-right float sum (sum compensates from Python 3.12 on), as
+    JumpSeries' running sums and _abel_over give them.
+    """
+    _check_at_least(x, 1, "argument", exact)
+    n = math.floor(x)
+    if exact:
+        series = natural_reciprocal_series(n, exact=True)
+        return _abel_over(series, _exact_point(x), k, m)
+    fx = float(x)
+    past = fx > n
+    # _power_diffs reads the lefts twice, so they are a sequence
+    lefts = range(1, n + past)
+    rights = chain(range(2, n + 1), (fx,) if past else ())
+    steps = accumulate(map(truediv, repeat(1.0), range(1, n + 1)))
+    integral = math.fsum(Kernel.power(k).segment_terms(steps, lefts, rights))
+    step = reduce(add, map(truediv, repeat(1.0), range(1, n + 1)))
+    return _abel(fx, m, step, integral)
+
+
 def floor_via_identity(x, *, exact=False):
-    """floor(x) recovered as the atom count of the naturals' reciprocal series.
+    """floor(x) recovered as the atom count of the naturals' reciprocal
+    series (_naturals_abel).
 
     Exact mode refuses x past EXACT_X_CAP.
     """
-    _check_at_least(x, 1, "argument", exact)
-    series = natural_reciprocal_series(math.floor(x), exact=exact)
-    return count_via_abel(series, _point(x, exact))
+    return _naturals_abel(x, 0, 1, exact)
 
 
 def triangular_via_identity(x, *, exact=False):
-    """1 + 2 + ... + floor(x) via the power-sum route with k = 1.
+    """1 + 2 + ... + floor(x) via the power-sum route with k = 1
+    (_naturals_abel).
 
     Exact mode refuses x past EXACT_X_CAP.
     """
-    _check_at_least(x, 1, "argument", exact)
-    series = natural_reciprocal_series(math.floor(x), exact=exact)
-    return power_sum_via_abel(series, _point(x, exact), 1)
+    return _naturals_abel(x, 1, 2, exact)
 
 
 # =====================================================================
@@ -314,7 +340,7 @@ def _prime_abel(table, kind, x, k, m, exact):
         _check_exact_x(x)
         ps = primes.tolist()
         series = JumpSeries(ps, map(_EXACT_WEIGHTS[kind], ps))
-        return _abel_over(series, _point(x, True), k, m)
+        return _abel_over(series, _exact_point(x), k, m)
     step = staircases.step(table, kind, x)
     fx = float(x)
     integral = staircases.step_integral(table, kind, Kernel.power(k), 2.0, fx)

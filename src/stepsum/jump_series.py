@@ -20,15 +20,15 @@ as integer numerators over one location denominator, with its step values
 in runs of consecutive jumps, each over its own denominator; the segment
 sums run in Python ints, the runs merge pairwise into one run tree
 (_run_tree), where each run before the range adds only its total
-weight, and a single Fraction is built per integral.  The Abel
-identity's two terms, x**m * F(x) and m times the integral of
-y**(m-1) * F(y) from the first jump, both come from one such tree
-(_exact_abel): they stay separate terms, are put over one denominator
-as ints, and one Fraction is built for their difference.  Anything
-involving a logarithm is evaluated in floats, with the antiderivative
-differences arranged to avoid cancellation between nearby segment
-endpoints; a power kernel's segment terms are evaluated in C-level maps
-(_power_diffs), with the operations of its scalar antiderivative_diff.
+weight.  The Abel identity's two terms, x**m * F(x) and m times the
+integral of y**(m-1) * F(y) from the first jump, both come from one
+such tree (_exact_abel) and are put over one denominator as ints.  One
+helper (_exact_value) builds each exact result, an int or a Fraction.
+Anything involving a logarithm is evaluated in floats, with the
+antiderivative differences arranged to avoid cancellation between
+nearby segment endpoints; a power kernel's segment terms are evaluated
+in C-level maps (_power_diffs), with the operations of its scalar
+antiderivative_diff.
 """
 
 import math
@@ -396,8 +396,8 @@ class JumpSeries:
         """Sum of the first ``index`` weights (0 <= index <= len).
 
         An exact series merges the run totals before the value pairwise
-        (_merge) and returns an int when every weight is an integer, a
-        Fraction otherwise.
+        (_merge), and _exact_value types the sum: an int when every weight
+        is an integer, a Fraction otherwise.
         """
         if not self._is_exact:
             return self._prefix[index]
@@ -406,7 +406,7 @@ class JumpSeries:
         den, prefix = form.runs[r]
         nodes = [*_rise_nodes(form.runs[:r], 0), (prefix[k], den, 0, 1, 1, 0, 0)]
         n, d = _balanced(nodes, _merge)[:2]
-        return n if form.integral else Fraction(n, d)
+        return _exact_value(form, n, d, True)
 
     def _integer_form(self):
         """An exact series' locations and step values as ints (_IntegerForm)."""
@@ -494,30 +494,27 @@ def integrate_kernel_times_step(series, kernel, a, b):
     F is constant between jumps, so the integral is the sum over constancy
     segments of the F-value times the kernel's antiderivative difference.
     Power kernels with an integral exponent other than -1 keep rational
-    data rational: the segments are summed in Python ints (see
-    _exact_power_integral) and the result is a Fraction, or an int for
-    k = 0 when the weights, the locations and the bounds are integers.
-    Otherwise each F-value, accumulated from one exact step value if the
-    series is exact, is rounded once to a float (_float_steps), and the
-    segment terms (Kernel.segment_terms) are added in one correctly
-    rounded sum.
+    data rational, over an empty range (a == b) too: the segments are
+    summed in Python ints (see _exact_power_integral) and the result is a
+    Fraction, or an int for k = 0 when the weights, the locations and the
+    bounds are integers.  Otherwise each F-value, accumulated from one
+    exact step value if the series is exact, is rounded once to a float
+    (_float_steps), and the segment terms (Kernel.segment_terms) are
+    added in one correctly rounded sum.
     """
     _check_finite_point(a)
     _check_finite_point(b)
     kernel.check_interval(a, b)
     ki = kernel.integer_exponent
-    exact = (
+    if (
         series.is_exact
         and isinstance(a, Rational)
         and isinstance(b, Rational)
-        and ki is not None
-        and ki != -1
-    )
-    if a == b or len(series) == 0:
-        return 0 if exact else 0.0
-
-    if exact:
+        and ki not in (None, -1)
+    ):
         return _exact_power_integral(series, ki + 1, a, b)
+    if a == b or len(series) == 0:
+        return 0.0
 
     # F is value i0 + j on segment j, from a through the jumps inside
     # (a, b) to b.  A zero value gives no term, and its segment's ends are
@@ -605,7 +602,7 @@ def _rise_nodes(runs, point):
 
 
 def _run_tree(form, m, a, b):
-    """The run tree of the integral of y**(m-1) * F(y) over [a, b] (a < b,
+    """The run tree of the integral of y**(m-1) * F(y) over [a, b] (a <= b,
     m != 0), for an exact series' integer form: (root, rest, scale, i1,
     bn, bd).
 
@@ -618,20 +615,19 @@ def _run_tree(form, m, a, b):
     own running sums (_power_node, _reciprocal_node), each run before it
     enters as a rise at a (_rise_nodes), and the nodes merge pairwise in
     a balanced tree (_merge), so no running sum is put over the lcm of
-    every weight.
+    every weight.  An empty range is one segment of length zero.
 
     ``root`` is _merge's node over [a, b]: its rise n / den is F just
-    below b, and m times the integral is s * scale / (den * rest).  The
-    first ``i1`` jumps lie below b, and bn / bd is b * loc_den in lowest
-    terms.  Nothing is reduced here: the finishers
-    (_exact_power_integral, _exact_abel) build one Fraction each.
+    below b (F(b) if a == b), and m times the integral is s * scale /
+    (den * rest).  The first ``i1`` jumps lie below b (at or below it if
+    a == b); bn / bd is b * loc_den in lowest terms.  Nothing is reduced.
     """
     an, ad = _scaled_point(a, form.loc_den)
     bn, bd = _scaled_point(b, form.loc_den)
     locs = form.locations
     # the scaled locations are ints: compare them with floor(a), ceil(b)
     i0 = bisect_right(locs, an // ad)
-    i1 = bisect_left(locs, -(-bn // bd))
+    i1 = max(bisect_left(locs, -(-bn // bd)), i0)
     if m > 0:
         # y**m = (n/d)**m / loc_den**m for a scaled point n/d: over
         # (ad * bd * loc_den)**m, every point is an int
@@ -659,33 +655,39 @@ def _run_tree(form, m, a, b):
     return root, rest * root[4], scale, i1, bn, bd
 
 
+def _exact_value(form, num, den, whole):
+    """num / den by the type rule of every exact result: an int when den
+    is 1, every weight is an integer (_IntegerForm.integral) and the
+    finisher's own condition ``whole`` holds; a Fraction otherwise."""
+    if whole and form.integral and den == 1:
+        return num
+    return Fraction(num, den)
+
+
 def _exact_power_integral(series, m, a, b):
-    """Integral of y**(m-1) * F(y) over [a, b] (a < b, m != 0), exactly,
-    from the run tree (_run_tree): one Fraction, or an int for m = 1 when
-    every weight (_IntegerForm.integral), location and bound is an
-    integer."""
+    """Integral of y**(m-1) * F(y) over [a, b] (a <= b, m != 0), exactly,
+    from the run tree (_run_tree), typed by _exact_value: an int only for
+    m = 1 when every weight, location and bound is an integer."""
     form = series._integer_form()
     root, rest, scale, *_ = _run_tree(form, m, a, b)
     _, den, s = root[:3]
-    units = den * rest
-    if form.integral and m == 1 and units == 1:
-        return s
-    return Fraction(s * scale, units * m)
+    return _exact_value(form, s * scale, den * rest * m, m == 1)
 
 
 def _exact_abel(series, x, m):
     """x**m * F(x) - m * (integral of y**(m-1) * F(y) from the first jump
     to x), exactly, from one run tree (_run_tree).
 
-    For an exact series, an int or Fraction x past the first jump and an
-    int m != 0.  The tree's root gives both terms: its rise is F just
-    below x, to which the weight at x is added when x is an atom, and
-    its sum is m times the integral.  The two terms stay apart until they
-    are put over one denominator as ints, and one Fraction is built; an
-    int only for m = 1, an int x, integer locations and integer weights
-    (_IntegerForm.integral), where the step value and the integral are
-    ints too.  So the type is the one _abel gives of the two, even where
-    the weights up to x are integers and later ones are not.
+    For an exact series, an int or Fraction x from the first jump on and
+    an int m != 0.  The tree's root gives both terms: its rise is F just
+    below x plus the weight at x for an atom past the first jump, or F(x)
+    at the first jump, and its sum is m times the integral.  The two
+    terms stay apart until they are put over one denominator as ints,
+    and _exact_value types the result: an int only for m = 1, an int x,
+    integer locations and integer weights, where the step value and the
+    integral are ints too.  So the type is the one _abel gives of the
+    two, even where the weights up to x are integers and later ones are
+    not.
     """
     form = series._integer_form()
     root, rest, scale, i1, bn, bd = _run_tree(form, m, series.domain_min, x)
@@ -701,9 +703,7 @@ def _exact_abel(series, x, m):
     # x**m * (n/den + wn/wd) - s * scale / (den * rest)
     num = xn * (n * wd + wn * den) * rest - s * scale * xd * wd
     units = xd * wd * den * rest
-    if form.integral and units == 1 and m == 1 and type(x) is int:
-        return num
-    return Fraction(num, units)
+    return _exact_value(form, num, units, m == 1 and type(x) is int)
 
 
 def _power_node(den, prefix, lo, hi, inner, head, tail, m, ends):

@@ -9,11 +9,11 @@ no natural pointwise form; random_set_sweep owns them, generating seeded
 random finite sets and checking every requested exponent per set.
 increment_sweep covers the subinterval check.
 
-Determinism: all randomness flows from one random.Random(seed), and
-drawing is separated from evaluation, so reports come back in the same
-order and with the same content on every run.  Sweeps run serially:
-the work holds the interpreter lock, and threads made no sweep faster.
-Their ``jobs`` keyword is accepted for compatibility and ignored.
+Determinism: all randomness flows from one random.Random(seed), so
+reports come back in the same order and with the same content on every
+run.  Sweeps run serially: the work holds the interpreter lock, and
+threads made no sweep faster.  Their ``jobs`` keyword is accepted for
+compatibility and ignored.
 """
 
 import math
@@ -261,8 +261,7 @@ def _direct_power_sum(ratios, k):
     return Fraction(*terms[0]) if terms else Fraction(0)
 
 
-def _check_one_set(task, k_set, tol, exact):
-    trial, qs, x = task
+def _check_one_set(qs, x, k_set, tol, exact):
     count = bisect_right(qs, x)
     included = qs[:count]
     if exact:
@@ -326,11 +325,10 @@ def random_set_sweep(
         if not isinstance(k, int) or k < 0:
             raise ConfigurationError(f"exponents must be ints >= 0, got {k!r}")
     rng = random.Random(seed)
-    tasks = []
-    for trial in range(trials):
-        qs = _draw_set(rng, rng.randint(1, max_size))
-        tasks.append((trial, qs, _draw_eval_point(rng, qs)))
     k_set = tuple(k_set)
-    return [
-        report for task in tasks for report in _check_one_set(task, k_set, tol, exact)
-    ]
+    reports = []
+    for _ in range(trials):
+        qs = _draw_set(rng, rng.randint(1, max_size))
+        x = _draw_eval_point(rng, qs)
+        reports += _check_one_set(qs, x, k_set, tol, exact)
+    return reports

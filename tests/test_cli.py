@@ -230,6 +230,16 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out
 
+    def test_failed_set_check_names_its_exponent(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--identity", "count", "--samples", "2", "--tol", "0",
+        )
+        assert code == 1
+        assert any(
+            line.startswith("FAIL power_sum ") and " k=" in line
+            for line in out.splitlines()
+        )
+
     def test_set_identity_routes_to_random_sets(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--identity", "power_sum", "--samples", "4",

@@ -27,6 +27,7 @@ from stepsum.identities import (
     triangular_via_identity,
 )
 from stepsum.jump_series import (
+    JumpSeries,
     Kernel,
     build_jump_series,
     integrate_kernel_times_step,
@@ -112,6 +113,40 @@ class TestSetRoutes:
             assert got == pytest.approx(math.fsum(q**-k for q in included), rel=1e-12)
             integral = integrate_kernel_times_step(g, Kernel.power(-(k + 2)), qs[0], x)
             assert got == g.value(x) * _rational_pow(x, -(k + 1)) + (k + 1) * integral
+
+
+class TestFirstJump:
+    """At the first jump an exact Abel sum follows the type rule: an int
+    only for the count over integer data at an int x, a Fraction for
+    every k >= 1."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_set_routes(self, k):
+        h = JumpSeries([2, 3, 5], [1, 1, 1])
+        g = JumpSeries([2, 3, 5], [2, 3, 5])
+        for got, want in (
+            (power_sum_via_abel(h, 2, k), 2 ** (k + 1)),
+            (reciprocal_power_sum_via_abel(g, 2, k), Fraction(1, 2**k)),
+        ):
+            assert got == want
+            assert type(got) is Fraction
+
+    def test_count_stays_an_int(self):
+        got = count_via_abel(JumpSeries([2, 3, 5], [1, 1, 1]), 2)
+        assert got == 2
+        assert type(got) is int
+
+    def test_routes_over_the_primes_and_the_naturals(self, table):
+        for got, want in (
+            (prime_sum_via_identity(table, 2, exact=True), 2),
+            (prime_reciprocal_sum_via_prime_sums(table, 2, exact=True), Fraction(1, 2)),
+            (triangular_via_identity(1, exact=True), 1),
+        ):
+            assert got == want
+            assert type(got) is Fraction
+        got = floor_via_identity(1, exact=True)
+        assert got == 1
+        assert type(got) is int
 
 
 # -----------------------------------------------------------------------
@@ -221,14 +256,27 @@ class TestFloorTriangular:
 
     @pytest.mark.parametrize("route", [floor_via_identity, triangular_via_identity])
     def test_memory_at_1e5(self, route):
-        """The naturals' staircase at x = 10**5 peaks below 16 MB."""
+        """The float routes stream the naturals' staircase: at x = 10**5
+        they peak below 1 MiB."""
         tracemalloc.start()
         try:
             route(10**5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * 2**20
+        assert peak <= 2**20
+
+    @pytest.mark.parametrize(
+        "route, bits",
+        [
+            (floor_via_identity, "0x1.e847fffffed60p+19"),
+            (triangular_via_identity, "0x1.d1a968a47e500p+38"),
+        ],
+    )
+    def test_float_bits_pinned(self, route, bits):
+        """At 10**6 + 0.5 the streamed routes give the bits of the series
+        built in full."""
+        assert route(10**6 + 0.5).hex() == bits
 
 
 # -----------------------------------------------------------------------

@@ -193,6 +193,27 @@ class TestIntegrateKernelTimesStep:
         empty = build_jump_series([])
         assert integrate_kernel_times_step(empty, POWER_ZERO, 1, 9) == 0.0
 
+    def test_exact_empty_range_follows_the_type_rule(self):
+        """An empty range takes the exact path: an int only for y**0 over
+        integer data, a Fraction otherwise, at an atom or not."""
+        ints = JumpSeries([2, 3, 5], [1, 1, 1])
+        fractions = JumpSeries([2, 3, 5], [Fraction(1, 2), Fraction(1, 3), 1])
+        empty = JumpSeries([], [])
+        out = integrate_kernel_times_step(ints, POWER_ZERO, 3, 3)
+        assert out == 0
+        assert type(out) is int
+        for series, k, a, b in (
+            (ints, 1, 3, 3),
+            (ints, -2, 4, 4),
+            (ints, 0, Fraction(7, 2), Fraction(7, 2)),
+            (fractions, 0, 3, 3),
+            (empty, 1, 3, 3),
+            (empty, 1, 1, 9),
+        ):
+            out = integrate_kernel_times_step(series, Kernel.power(k), a, b)
+            assert out == 0
+            assert type(out) is Fraction
+
     def test_bounds_out_of_order(self):
         s = build_jump_series([(2, 1)])
         with pytest.raises(DomainError, match="out of order"):
@@ -436,7 +457,7 @@ class TestLongExactSeries:
         out = integrate_kernel_times_step(s, Kernel.power(k), a, b)
         assert out == segment_reference(list(zip(locations, weights)), k, a, b)
         ints = all(Fraction(v).denominator == 1 for v in (*locations, *weights, a, b))
-        assert type(out) is (int if a == b or (k == 0 and ints) else Fraction)
+        assert type(out) is (int if k == 0 and ints else Fraction)
         int_steps = all(type(w) is int for w in weights)
         for x in (a, b):
             step = s.value(x)
@@ -506,8 +527,7 @@ class TestExactAbel:
         got = identities._abel_over(s, x, k, m)
         assert got == want
         assert type(got) is type(want)
-        if x > a:
-            assert jump_series._exact_abel(s, x, m) == want
+        assert jump_series._exact_abel(s, x, m) == want
 
     def test_int_only_where_the_terms_are_ints(self):
         """m = 1 over integer locations and weights at an int x is an int,

@@ -297,28 +297,52 @@ def _private(name):
     return name.startswith("_") and not name.startswith("__")
 
 
+def _loaded(node):
+    """The names a node loads, as bare names or as attributes."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    }
+
+
+def _defined(node):
+    """The names a module or class body statement defines: a function or
+    class, the targets of an assignment, and the entries of __slots__."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        if names == ["__slots__"]:
+            names += ast.literal_eval(node.value)
+        return names
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
 def _orphaned_private_definitions(paths):
-    """'file:line name' for each private module-level function, class or
-    constant (an assignment target such as _RUN) that no module in
+    """'file:line name' for each private definition that no module in
     ``paths`` loads outside the definition itself, as a bare name or as
-    an attribute."""
+    an attribute: a module-level function, class or constant (an
+    assignment target such as _RUN), and a class's private methods,
+    class-level names and __slots__ entries.  A name that is only
+    stored, such as a slot assigned and never read, counts as unused."""
     defined, used = {}, set()
     for path in paths:
         for node in ast.parse(path.read_text(), filename=str(path)).body:
-            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-            names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                targets = [node.name]
-            elif isinstance(node, ast.Assign):
-                targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                targets = [node.target.id]
-            else:
-                targets = []
-            for name in filter(_private, targets):
-                defined[name] = f"{path.name}:{node.lineno}"
-                names.discard(name)
-            used |= names
+            units = [(node, [node])]
+            if isinstance(node, ast.ClassDef):
+                # each member is a unit of its own, so that its uses
+                # elsewhere in the class count
+                header = node.bases + node.keywords + node.decorator_list
+                units = [(node, header)] + [(member, [member]) for member in node.body]
+            for unit, parts in units:
+                names = set().union(*map(_loaded, parts))
+                for name in filter(_private, _defined(unit)):
+                    defined[name] = f"{path.name}:{unit.lineno}"
+                    names.discard(name)
+                used |= names
     return [f"{line} {name}" for name, line in defined.items() if name not in used]
 
 
@@ -328,3 +352,26 @@ def test_no_private_helper_is_left_unused():
     root = Path(__file__).resolve().parent.parent
     paths = sorted((root / "src" / "stepsum").glob("*.py"))
     assert _orphaned_private_definitions(paths) == []
+
+
+def test_unused_class_members_are_reported(tmp_path):
+    """A private method, class-level name or slot that nothing loads is
+    reported; one that another member or module loads is not."""
+    (tmp_path / "a.py").write_text(
+        "class _Used:\n"
+        "    __slots__ = ('_read', '_stored')\n"
+        "    _LIMIT = 3\n"
+        "    _SPARE = 4\n"
+        "    def __init__(self):\n"
+        "        self._read = self._stored = self._LIMIT\n"
+        "    def value(self):\n"
+        "        return self._read + self._helper()\n"
+        "    def _helper(self):\n"
+        "        return 1\n"
+        "    def _stray(self):\n"
+        "        return 2\n"
+    )
+    (tmp_path / "b.py").write_text("from a import _Used\n\nprint(_Used().value())\n")
+    assert sorted(_orphaned_private_definitions(sorted(tmp_path.glob("*.py")))) == [
+        "a.py:11 _stray", "a.py:2 _stored", "a.py:4 _SPARE"
+    ]

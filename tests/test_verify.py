@@ -3,13 +3,14 @@
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
 from stepsum import identities, jump_series, verify
 from stepsum.errors import ConfigurationError
 from stepsum.primes import sieve
-from stepsum.report import IdentityId
+from stepsum.report import IdentityId, make_report
 from stepsum.verify import (
     MAX_SET_SIZE,
     increment_sweep,
@@ -177,6 +178,34 @@ class TestRandomSetSweep:
         reports = random_set_sweep(1, 1, max_size=MAX_SET_SIZE, k_set=(0, 1))
         assert time.perf_counter() - start < 5.0
         assert all(r.passed for r in reports)
+
+
+# -----------------------------------------------------------------------
+# Reports
+# -----------------------------------------------------------------------
+
+
+class TestMakeReport:
+    def test_exact_difference_below_float_range_fails(self):
+        """A nonzero rational difference that rounds to 0.0 is clamped to
+        the smallest float, so it cannot read as a pass."""
+        lhs = 1 + Fraction(1, 10**400)
+        report = make_report(IdentityId.COUNT, 2, lhs, 1, 1e-9, exact=True)
+        assert report.abs_err == 5e-324
+        assert not report.passed
+
+    def test_exact_difference_past_float_range_is_inf(self):
+        for lhs in (10**400, Fraction(10**400, 3)):
+            report = make_report(IdentityId.COUNT, 2, lhs, 0, 1e-9, exact=True)
+            assert report.abs_err == math.inf
+            assert report.lhs == math.inf
+            assert not report.passed
+
+    @pytest.mark.parametrize("lhs, rhs", [(math.nan, 1.0), (1.0, math.nan)])
+    def test_nan_float_side_fails(self, lhs, rhs):
+        report = make_report(IdentityId.COUNT, 2, lhs, rhs, 1e-9)
+        assert math.isnan(report.abs_err)
+        assert not report.passed
 
 
 # -----------------------------------------------------------------------
