@@ -75,6 +75,17 @@ def _require_finite(option, value):
         raise DomainError(f"{option} must be finite, got {value}")
 
 
+def _sieve_to(option, x):
+    """A prime table sieved to ceil(x), for a finite x.  An x past the
+    sieve's cap is refused under its option's name, before the ceiling
+    turns it into a limit of up to 309 digits."""
+    if x > DEFAULT_LIMIT_CAP:
+        raise ResourceError(
+            f"{option} {x} exceeds the configured cap {DEFAULT_LIMIT_CAP}"
+        )
+    return sieve(max(2, math.ceil(x)))
+
+
 def _compute_value(function, method, x, exact, limit):
     # --exact refuses x past the exact cap on every method, before the sieve
     if exact:
@@ -82,7 +93,7 @@ def _compute_value(function, method, x, exact, limit):
     route = verify.ROUTES[function, method]
     table = None
     if route.needs_table:
-        table = sieve(limit if limit is not None else max(2, math.ceil(x)))
+        table = sieve(limit) if limit is not None else _sieve_to("--x", x)
     return route.call(table, x, exact)
 
 
@@ -175,7 +186,7 @@ def command_verify(args):
         _require_finite("--xmax", args.xmax)
         if args.xmax <= 2.0:
             raise ConfigurationError(f"--xmax must exceed 2, got {args.xmax}")
-        table = sieve(max(2, math.ceil(args.xmax)))
+        table = _sieve_to("--xmax", args.xmax)
         intervals = verify.random_intervals(args.seed, args.samples, hi=args.xmax)
         reports = verify.increment_sweep(table, intervals, tol=args.tol)
     elif identity in verify.POINTWISE:
@@ -187,7 +198,7 @@ def command_verify(args):
             )
         table = None
         if route.needs_table:
-            table = sieve(max(2, math.ceil(args.xmax)))
+            table = _sieve_to("--xmax", args.xmax)
         elif math.floor(args.xmax) > DEFAULT_LIMIT_CAP:
             # the naturals' routes loop once per integer: the sieve's cap
             raise ResourceError(

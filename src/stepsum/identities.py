@@ -23,14 +23,17 @@ where the two nearly cancel, the result keeps only their rounding error.
 Exact mode accepts any rationals (int, Fraction, gmpy2.mpq) and turns
 every check into an equality; jump_series does the exact integrals in
 integer arithmetic and hands back ints or Fractions, so no route depends
-on a fast rational type.  Over an exact series at an int or Fraction x,
-the first jump included, _abel_over takes F(x) and the integral from one run tree and reduces
-once (jump_series._exact_abel): the boundary term and the integral are
-still two terms, combined over one denominator in ints, and the result
-is the rational, and the type, that _abel gives.  The exact sums over
-the primes or the naturals up to x have denominators of about 1.44 x
-bits; exact mode refuses x past primes.EXACT_X_CAP with ResourceError
-before it loops.
+on a fast rational type.  The exact staircases over the naturals and
+the primes are built from ints (jump_series._exact_series): each weight,
+1/i, 1/p, p or 1, is a numerator and a denominator, and no Fraction is
+made per atom.  Over an exact series at an int or Fraction x, the first
+jump included, _abel_over takes F(x) and the integral from one run tree
+and reduces once (jump_series._exact_abel): the boundary term and the
+integral are still two terms, combined over one denominator in ints,
+and the result is the rational, and the type, that _abel gives.  The
+exact sums over the primes or the naturals up to x have denominators of
+about 1.44 x bits; exact mode refuses x past primes.EXACT_X_CAP with
+ResourceError before it loops.
 """
 
 import math
@@ -48,6 +51,7 @@ from .jump_series import (
     integrate_kernel_times_step,
     _balanced,
     _exact_abel,
+    _exact_series,
     _rational_pow,
 )
 from .primes import DEFAULT_LIMIT_CAP, _check_exact_x, _fraction_sum
@@ -180,7 +184,7 @@ def natural_reciprocal_series(n, *, exact=False):
     # go straight to the constructor
     ns = range(1, n + 1)
     if exact:
-        return JumpSeries(ns, (Fraction(1, i) for i in ns))
+        return _exact_series(1, ns, [1] * n, ns)
     return JumpSeries(map(float, ns), (1.0 / i for i in ns))
 
 
@@ -317,17 +321,10 @@ def triangular_via_identity(x, *, exact=False):
 # The float prime staircases are prepared once per table (staircases.py):
 # a float route reads F(x) and the integral of y**k * F(y) from 2 to x
 # from the table's prepared prefix sums.  The exact staircases are built
-# per query, straight from the sieve output, which meets the JumpSeries
-# contract: sorted, distinct, positive, no zero weight.  Their running
-# sums are kept in runs, each over its own lcm (jump_series._IntegerForm),
-# and they stop at EXACT_X_CAP.
-
-# kind -> the exact weight of the prime p
-_EXACT_WEIGHTS = {
-    "reciprocal": lambda p: Fraction(1, p),
-    "prime": lambda p: p,
-    "count": lambda p: 1,
-}
+# per query, from the ints of the sieve output (jump_series._exact_series),
+# which meets the JumpSeries contract: sorted, distinct, positive, no zero
+# weight.  Their running sums are kept in runs, each over its own lcm
+# (jump_series._IntegerForm), and they stop at EXACT_X_CAP.
 
 
 def _prime_abel(table, kind, x, k, m, exact):
@@ -339,7 +336,14 @@ def _prime_abel(table, kind, x, k, m, exact):
         primes = table.primes_leq(x)
         _check_exact_x(x)
         ps = primes.tolist()
-        series = JumpSeries(ps, map(_EXACT_WEIGHTS[kind], ps))
+        ones = [1] * len(ps)
+        # the weight of p, as (numerators, denominators): 1/p, p or 1
+        nums, dens = {
+            "reciprocal": (ones, ps),
+            "prime": (ps, ones),
+            "count": (ones, ones),
+        }[kind]
+        series = _exact_series(1, ps, nums, dens)
         return _abel_over(series, _exact_point(x), k, m)
     step = staircases.step(table, kind, x)
     fx = float(x)

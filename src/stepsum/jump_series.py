@@ -24,18 +24,20 @@ weight.  The Abel identity's two terms, x**m * F(x) and m times the
 integral of y**(m-1) * F(y) from the first jump, both come from one
 such tree (_exact_abel) and are put over one denominator as ints.  One
 helper (_exact_value) builds each exact result, an int or a Fraction.
-Anything involving a logarithm is evaluated in floats, with the
-antiderivative differences arranged to avoid cancellation between
-nearby segment endpoints; a power kernel's segment terms are evaluated
-in C-level maps (_power_diffs), with the operations of its scalar
-antiderivative_diff.
+The package's own exact staircases are built from ints (_exact_series),
+with no Fraction per atom.  Anything involving a logarithm is evaluated
+in floats, with the antiderivative differences arranged to avoid
+cancellation between nearby segment endpoints; a power kernel's segment
+terms are evaluated in C-level maps (_power_diffs), with the operations
+of its scalar antiderivative_diff.
 """
 
 import math
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import accumulate, compress, repeat
-from operator import mul, ne, sub, truediv
+from operator import floordiv, mul, ne, sub, truediv
 from numbers import Integral, Rational, Real
 from typing import NamedTuple
 
@@ -263,21 +265,24 @@ _RUN = 128
 
 class _IntegerForm(NamedTuple):
     """An exact series as Python ints: location i is locations[i] / loc_den,
-    loc_den the lcm of every location's denominator, and the running sums
-    are kept in ``runs`` of _RUN consecutive jumps.
+    weight i is nums[i] / dens[i], and the running sums are kept in
+    ``runs`` of _RUN consecutive jumps.
 
-    Run r is a pair (den, prefix): den is the lcm of the denominators of
-    weights r*_RUN .. (r+1)*_RUN - 1, and prefix[k] / den is the sum of
-    the first k of them, so no running sum is wider than its own run's
+    A weight need not be in lowest terms, but an integer weight has den 1.
+    Run r is a pair (den, prefix): den is the lcm of dens[r*_RUN] ..
+    dens[(r+1)*_RUN - 1], and prefix[k] / den is the sum of the first k
+    of the run's weights, so no running sum is wider than its own run's
     lcm.  Each lcm is taken in a balanced tree of pairwise lcms
-    (_scale_to_common_denominator), and a run's running sums are
-    accumulated from its scaled weights one at a time.  ``integral`` is
-    true when every weight is an integer: then every den is 1, and step
-    values and the integrals and Abel sums that keep ints stay ints.
+    (_balanced), and a run's running sums are accumulated from its scaled
+    weights one at a time (_run).  ``integral`` is true when every den is
+    1: then every run's den is 1, and step values and the integrals and
+    Abel sums that keep ints stay ints.
     """
 
     loc_den: int
     locations: tuple
+    nums: Sequence
+    dens: Sequence
     integral: bool
     runs: tuple
 
@@ -314,10 +319,26 @@ def _scale_to_common_denominator(values):
     return d, (int(v.numerator) * (d // vd) for v, vd in zip(values, dens))
 
 
-def _run(weights):
-    """(den, running sums from 0) of one run of exact weights."""
-    den, steps = _scale_to_common_denominator(weights)
+def _run(nums, dens):
+    """(den, running sums from 0) of one run of the weights nums[i] /
+    dens[i], den the lcm of dens."""
+    den = _balanced(dens, math.lcm)
+    steps = map(mul, nums, map(floordiv, repeat(den), dens))
     return den, tuple(accumulate(steps, initial=0))
+
+
+def _form_from_ints(loc_den, locations, nums, dens):
+    """The _IntegerForm of the ints of an exact series."""
+    runs = tuple(
+        _run(nums[i : i + _RUN], dens[i : i + _RUN]) for i in range(0, len(nums), _RUN)
+    )
+    integral = all(den == 1 for den, _ in runs)
+    return _IntegerForm(loc_den, locations, nums, dens, integral, runs or ((1, (0,)),))
+
+
+def _ratio(num, den):
+    """num / den: an int for den 1, a Fraction otherwise."""
+    return num if den == 1 else Fraction(num, den)
 
 
 class JumpSeries:
@@ -329,13 +350,16 @@ class JumpSeries:
     Sieve output and the random-set draws of stepsum.verify meet this by
     construction.  Input from outside the program goes through
     build_jump_series, which validates, sorts, merges and drops zero
-    weights.
+    weights.  The package's own exact staircases, whose ints their
+    builders know, come from _exact_series, which takes the ints and
+    makes no Fraction per atom.
 
     An exact series (every location and weight rational) does not add up
     its running sums as Fractions: they are integer numerators, in runs of
     _RUN consecutive jumps, each run over the lcm of its own weights'
-    denominators (1 for integer weights), computed once on first use
-    (_IntegerForm), so integration never renormalises a Fraction per jump.
+    denominators (1 for integer weights), computed once on first use, or
+    at once for a series built from ints (_IntegerForm), so integration
+    never renormalises a Fraction per jump.
     A step value or an integral merges the runs up to its end pairwise,
     and a step value is reduced each time it is asked for, and not kept:
     to an int when every weight is an integer (_IntegerForm.integral), to
@@ -345,7 +369,7 @@ class JumpSeries:
     naturals up to x): at primes.EXACT_X_CAP, the exact floor over the
     naturals builds its series and its run tree, for the step value and
     the integral at once, in about 0.10 s, with a traced peak of about
-    9 MiB.
+    7 MiB.
     """
 
     __slots__ = ("_locations", "_weights", "_prefix", "_is_exact", "_integer")
@@ -362,33 +386,45 @@ class JumpSeries:
 
     @property
     def locations(self):
+        if self._locations is None:
+            form = self._integer
+            self._locations = tuple(map(_ratio, form.locations, repeat(form.loc_den)))
         return self._locations
 
     @property
     def weights(self):
+        if self._weights is None:
+            form = self._integer
+            self._weights = tuple(map(_ratio, form.nums, form.dens))
         return self._weights
 
     @property
     def domain_min(self):
-        return self._locations[0] if self._locations else None
+        if not len(self):
+            return None
+        if self._locations is None:
+            return _ratio(self._integer.locations[0], self._integer.loc_den)
+        return self._locations[0]
 
     @property
     def is_exact(self):
         return self._is_exact
 
     def __len__(self):
+        if self._locations is None:
+            return len(self._integer.locations)
         return len(self._locations)
 
     def __repr__(self):
-        n = len(self._locations)
-        if n == 0:
+        if not len(self):
             return "JumpSeries(empty)"
-        return f"JumpSeries({n} atoms on [{self._locations[0]}, {self._locations[-1]}])"
+        locs = self.locations
+        return f"JumpSeries({len(locs)} atoms on [{locs[0]}, {locs[-1]}])"
 
     def value(self, x):
         """F(x): sum of weights at locations <= x (jumps are inclusive)."""
         _check_finite_point(x)
-        return self.prefix_value(bisect_right(self._locations, x))
+        return self.prefix_value(bisect_right(self.locations, x))
 
     __call__ = value
 
@@ -413,14 +449,35 @@ class JumpSeries:
         if self._integer is None:
             loc_den, locs = _scale_to_common_denominator(self._locations)
             weights = self._weights
-            runs = tuple(
-                _run(weights[i : i + _RUN]) for i in range(0, len(weights), _RUN)
-            )
-            integral = all(den == 1 for den, _ in runs)
-            self._integer = _IntegerForm(
-                loc_den, tuple(locs), integral, runs or ((1, (0,)),)
+            self._integer = _form_from_ints(
+                loc_den,
+                tuple(locs),
+                [int(w.numerator) for w in weights],
+                [int(w.denominator) for w in weights],
             )
         return self._integer
+
+
+def _exact_series(loc_den, loc_nums, nums, dens):
+    """The exact JumpSeries with locations loc_nums[i] / loc_den and
+    weights nums[i] / dens[i], built from ints: the package's exact
+    staircases, whose ints their builders know, make no Fraction per atom.
+
+    The data meet JumpSeries' contract: the locations strictly increasing
+    and positive, and no weight zero.  A ratio need not be in lowest
+    terms, but loc_den is 1 when every location is an integer and a den
+    is 1 for an integer weight, which the type rule of the results reads
+    (_IntegerForm.integral, _exact_value).  The integer form is filled at
+    once; ``locations`` and ``weights`` are built on first read, an int
+    where the denominator is 1 and a Fraction otherwise.  A function, not
+    a JumpSeries method: a benchmark tracer may rebind the name JumpSeries
+    in the calling modules to a plain function.
+    """
+    series = JumpSeries.__new__(JumpSeries)
+    series._locations = series._weights = series._prefix = None
+    series._is_exact = True
+    series._integer = _form_from_ints(loc_den, tuple(loc_nums), nums, dens)
+    return series
 
 
 def _check_finite_point(x):
@@ -694,8 +751,7 @@ def _exact_abel(series, x, m):
     n, den, s = root[:3]
     wn, wd = 0, 1
     if bd == 1 and i1 < len(form.locations) and form.locations[i1] == bn:
-        w = series.weights[i1]
-        wn, wd = int(w.numerator), int(w.denominator)
+        wn, wd = form.nums[i1], form.dens[i1]
     if m > 0:
         xn, xd = x.numerator**m, x.denominator**m
     else:

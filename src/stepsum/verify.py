@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 
 from . import analytic, identities
 from .errors import ConfigurationError, DomainError, RangeError
-from .jump_series import JumpSeries
+from .jump_series import JumpSeries, _exact_series
 from .report import IdentityId, error_report, make_report
 
 __all__ = [
@@ -238,17 +238,19 @@ def _draw_eval_point(rng, qs):
 
 
 def _direct_power_sum(ratios, k):
-    """Sum of q**k over the atoms q = n/d given as (n, d) int pairs, exactly.
+    """Sum of q**k over the atoms q = n/d given as (n, d) int pairs, exactly,
+    as an unreduced (numerator, denominator) pair of ints.
 
     The oracle side of the set checks: a plain sum over atoms.  For k >= 0
     every term is put over the lcm of the atom denominators; for k < 0 the
-    (numerator, denominator) terms are added two at a time, unreduced, so
-    no Fraction is renormalised per atom.  One Fraction comes out.
+    (numerator, denominator) terms are added two at a time, unreduced.
+    Nothing is reduced, not even the sum: _check_one_set compares it with
+    the route's value by cross-multiplication.
     """
     if k >= 0:
         den = math.lcm(*(d for _, d in ratios))
         total = sum((n * (den // d)) ** k for n, d in ratios)
-        return Fraction(total, den**k)
+        return total, den**k
     terms = [(d**-k, n**-k) for n, d in ratios]
     while len(terms) > 1:
         paired = [
@@ -258,37 +260,53 @@ def _direct_power_sum(ratios, k):
         if len(terms) % 2:
             paired.append(terms[-1])
         terms = paired
-    return Fraction(*terms[0]) if terms else Fraction(0)
+    return terms[0] if terms else (0, 1)
 
 
 def _check_one_set(qs, x, k_set, tol, exact):
+    """The reports of one drawn set ``qs`` at x: the count, and the power
+    and reciprocal power sums for each k in ``k_set``, each route against
+    its plain sum over the atoms at or below x.
+
+    Exact mode builds the two staircases from the ints n = q * 2**24
+    (_exact_series): h, with weights 1/q = 2**24 / n, and g, with weights
+    q = n / 2**24; no Fraction is made per atom.  The oracle's unreduced
+    sum (_direct_power_sum) is cross-multiplied with the route's value,
+    which is in lowest terms: when they are equal the route's value is
+    the report's right-hand side, and otherwise the oracle's sum, reduced.
+    Either way the report is the one a reduced oracle sum gives.
+    """
     count = bisect_right(qs, x)
     included = qs[:count]
     if exact:
-        locs = [Fraction(q) for q in qs]
-        reciprocals = [Fraction(q.denominator, q.numerator) for q in locs]
+        nums = [int(q * _GRID) for q in qs]
+        grid = [_GRID] * len(nums)
+        h = _exact_series(_GRID, nums, grid, nums)
+        g = _exact_series(_GRID, nums, nums, grid)
         xq = Fraction(x)
         ratios = [q.as_integer_ratio() for q in included]
 
-        def direct(k):
-            return _direct_power_sum(ratios, k)
+        def direct(value, k):
+            num, den = _direct_power_sum(ratios, k)
+            if value.numerator * den == num * value.denominator:
+                return value
+            return Fraction(num, den)
 
     else:
-        locs, xq = qs, x
-        reciprocals = [1 / q for q in qs]
+        xq = x
+        h = JumpSeries(qs, [1 / q for q in qs])
+        g = JumpSeries(qs, qs)
 
-        def direct(k):
+        def direct(value, k):
             return math.fsum(q**k for q in included)
 
-    h = JumpSeries(locs, reciprocals)
-    g = JumpSeries(locs, locs)
     # the count is the k = 0 power sum, so one integral serves both
     power = {k: identities.power_sum_via_abel(h, xq, k) for k in {0, *k_set}}
+    reciprocal = {k: identities.reciprocal_power_sum_via_abel(g, xq, k) for k in k_set}
     checks = [(IdentityId.COUNT, None, power[0], count)]
-    checks += [(IdentityId.POWER_SUM, k, power[k], direct(k)) for k in k_set]
-    reciprocal = identities.reciprocal_power_sum_via_abel
+    checks += [(IdentityId.POWER_SUM, k, power[k], direct(power[k], k)) for k in k_set]
     checks += [
-        (IdentityId.RECIPROCAL_POWER_SUM, k, reciprocal(g, xq, k), direct(-k))
+        (IdentityId.RECIPROCAL_POWER_SUM, k, reciprocal[k], direct(reciprocal[k], -k))
         for k in k_set
     ]
     return [

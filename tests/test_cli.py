@@ -183,6 +183,26 @@ class TestCompute:
         assert "exceeds the configured cap" in err
 
     @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (("compute", "pi", "--x", "1e300"), "--x"),
+            (("compute", "pi", "--x", "100000000.5"), "--x"),
+            (("verify", "--identity", "prime_count", "--xmax", "1e300"), "--xmax"),
+            (("verify", "--identity", "hp_increment", "--xmax", "1e300"), "--xmax"),
+        ],
+    )
+    def test_sieve_past_the_cap_names_the_option(self, capsys, argv, option):
+        """An x that would size a sieve past its cap is refused under its
+        option's name, not as a sieve limit of hundreds of digits."""
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        x = float(argv[-1])
+        assert err == f"error: {option} {x} exceeds the configured cap 100000000\n"
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("compute", "pi", "--x", "1e6", "--method", "identity", "--exact"),
@@ -255,6 +275,14 @@ class TestVerify:
         )
         assert code == 0
         assert "hp_increment: 5/5 pass" in out
+
+    def test_increment_needs_xmax_past_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--identity", "hp_increment", "--xmax", "2"
+        )
+        assert code == 2
+        assert out == ""
+        assert "--xmax must exceed 2, got 2.0" in err
 
     def test_samples_validation(self, capsys):
         code, _, err = run_cli(

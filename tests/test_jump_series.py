@@ -5,6 +5,7 @@ import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,6 +67,15 @@ class TestBuild:
         with pytest.raises(DomainError):
             build_jump_series([atom])
 
+    def test_non_real_location_rejected(self):
+        with pytest.raises(DomainError, match="location must be a real number"):
+            build_jump_series([("2", 1)])
+
+    def test_repr(self):
+        assert repr(JumpSeries([], [])) == "JumpSeries(empty)"
+        s = JumpSeries([2, Fraction(7, 2), 5], [1, 1, 1])
+        assert repr(s) == "JumpSeries(3 atoms on [2, 5])"
+
     def test_bad_weights_rejected(self):
         with pytest.raises(DomainError, match="weight"):
             build_jump_series([(2, float("nan"))])
@@ -114,6 +124,11 @@ class TestEvaluate:
         with pytest.raises(DomainError, match="finite"):
             s.value(float("inf"))
 
+    def test_non_real_point_rejected(self):
+        s = build_jump_series([(1, 1)])
+        with pytest.raises(DomainError, match="must be real"):
+            s.value(1j)
+
     @given(st.sets(st.integers(min_value=1, max_value=400), min_size=1, max_size=30))
     def test_jump_size_matches_weight(self, locs):
         """F steps by exactly the atom weight across each location."""
@@ -159,6 +174,26 @@ class TestKernels:
     def test_ei_kernels_match_reference_quadrature(self, kernel, l, r):
         reference, _ = quadrature.integrate(kernel, l, r)
         assert kernel.antiderivative_diff(l, r) == pytest.approx(reference, rel=1e-12)
+
+    def test_power_exponent_must_be_real(self):
+        with pytest.raises(DomainError, match="must be real"):
+            Kernel.power("2")
+
+    def test_power_kernels_equal_by_exponent_only(self):
+        assert Kernel.power(2) == Kernel.power(Fraction(2))
+        assert Kernel.power(2) != Kernel.power(3)
+        assert Kernel.power(0) != INV_LOG
+        assert INV_LOG != Kernel.power(0)
+
+    def test_integral_exponents_of_other_types_are_ints(self):
+        for k in (np.int64(3), Fraction(6, 2)):
+            ki = Kernel.power(k).integer_exponent
+            assert (ki, type(ki)) == (3, int)
+        assert Kernel.power(Fraction(3, 2)).integer_exponent is None
+
+    def test_power_antiderivative_over_a_point_is_zero(self):
+        assert Kernel.power(2).antiderivative_diff(3.0, 3.0) == 0.0
+        assert Kernel.power(-3).antiderivative_diff(3.0, 3.0) == 0.0
 
     def test_negative_power_needs_positive_lower_bound(self):
         with pytest.raises(DomainError, match="exceed"):
@@ -569,6 +604,69 @@ class TestExactAbel:
                 assert type(got) is type(want)
                 if k == 0:
                     assert type(got) is (int if ints else Fraction)
+
+
+class TestExactSeriesFromInts:
+    """jump_series._exact_series: the exact staircases the package builds
+    from ints, without a Fraction per atom."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(abel_cases(), st.integers(1, 6), st.sampled_from([-4, -2, 0, 1, 3]))
+    def test_same_series_as_from_fractions(self, case, c, k):
+        """Built from ints, with every non-integer location and weight
+        scaled by c out of lowest terms, a series has the locations, the
+        weights, the step values, the integrals and the Abel sums of the
+        one built from Fractions, the results of the same types; only the
+        run denominators may differ.  A location or weight is an int where
+        its denominator is 1."""
+        locations, weights, x = case
+        reference = JumpSeries(locations, weights)
+        fracs = [Fraction(q) for q in locations]
+        loc_den = math.lcm(*(q.denominator for q in fracs))
+        loc_den *= c if loc_den > 1 else 1
+        ws = [Fraction(w) for w in weights]
+        scale = [c if w.denominator > 1 else 1 for w in ws]
+        s = jump_series._exact_series(
+            loc_den,
+            [int(q * loc_den) for q in fracs],
+            [w.numerator * f for w, f in zip(ws, scale)],
+            [w.denominator * f for w, f in zip(ws, scale)],
+        )
+        m = k + 1
+        got = identities._abel_over(s, x, k, m)
+        want = identities._abel_over(reference, x, k, m)
+        assert (got, type(got)) == (want, type(want))
+        # the Abel sum reads neither the locations nor the weights
+        assert s._locations is None and s._weights is None
+        a = reference.domain_min
+        got = integrate_kernel_times_step(s, Kernel.power(k), a, x)
+        want = integrate_kernel_times_step(reference, Kernel.power(k), a, x)
+        assert (got, type(got)) == (want, type(want))
+        # the float path over an exact series reads the weights
+        minus_one = Kernel.power(-1)
+        got = integrate_kernel_times_step(s, minus_one, a, x)
+        assert got == integrate_kernel_times_step(reference, minus_one, a, x)
+        assert (len(s), s.domain_min, repr(s)) == (
+            len(reference), a, repr(reference)
+        )
+        assert s.value(x) == reference.value(x)
+        assert type(s.value(x)) is type(reference.value(x))
+        # ints over a location denominator of 1, Fractions otherwise
+        assert s.locations == reference.locations
+        assert {type(q) for q in s.locations} == {int if loc_den == 1 else Fraction}
+        assert s.weights == reference.weights
+        assert [type(w) for w in s.weights] == [
+            int if w.denominator == 1 else Fraction for w in ws
+        ]
+        totals = [Fraction(p[-1], d) for d, p in s._integer_form().runs]
+        assert totals == [
+            Fraction(p[-1], d) for d, p in reference._integer_form().runs
+        ]
+
+    def test_empty(self):
+        s = jump_series._exact_series(1, [], [], [])
+        assert (len(s), s.domain_min, s.locations, s.weights) == (0, None, (), ())
+        assert s.prefix_value(0) == 0
 
 
 class TestFloatOverExactSeries:

@@ -81,6 +81,10 @@ class TestSieve:
     def test_repr(self, table):
         assert "1229" in repr(table)
 
+    def test_limit(self, table):
+        assert table.limit == 10**4
+        assert sieve(2).limit == 2
+
 
 # -----------------------------------------------------------------------
 # Queries
@@ -146,3 +150,13 @@ class TestQueries:
     def test_log_weight_sum(self, table):
         expected = math.log(2) / 2 + math.log(3) / 3
         assert table.log_weight_sum(4) == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("x", [2, 3.5, 97, 1000.5, 10**4])
+    def test_float_oracles_are_the_plain_loops(self, table, x):
+        """The oracles' C-level maps take the terms of a loop over the
+        primes, and the same sum, bit for bit."""
+        ps = _trial_division_primes(math.floor(x))
+        assert table.reciprocal_sum(x) == math.fsum(1.0 / p for p in ps)
+        assert table.log_weight_sum(x) == math.fsum(math.log(p) / p for p in ps)
+        for k in (2, 3, 4):
+            assert table.prime_power_sum(x, k) == sum(p**k for p in ps)

@@ -243,6 +243,61 @@ def test_every_name_the_tracer_wraps_exists():
     assert hasattr(importlib.import_module("stepsum.jump_series"), "JumpSeries")
 
 
+_UNDER_THE_TRACER = """
+import contextlib, importlib.util, io, sys
+from fractions import Fraction
+from stepsum import cli, identities, verify
+
+def calls():
+    out = []
+    for seed in range(4):
+        for exact in (False, True):
+            out.append(verify.random_set_sweep(seed, 1, exact=exact))
+    for function, methods in (
+        ("pi", ("direct", "identity")),
+        ("prime_sum", ("direct", "identity")),
+        ("hp", ("direct", "prime_sums", "from_pi")),
+    ):
+        for method in methods:
+            argv = ["compute", function, "--x", "1000.5", "--method", method, "--exact"]
+            with contextlib.redirect_stdout(io.StringIO()) as text:
+                code = cli.main(argv)
+            out.append((code, text.getvalue()))
+    for x in (1, Fraction(15, 2), 1000):
+        value = identities.floor_via_identity(x, exact=True)
+        out.append((value, type(value)))
+    return out
+
+untraced = calls()
+spec = importlib.util.spec_from_file_location("tracer", sys.argv[1])
+tracer_module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer_module)
+tracer = tracer_module.Tracer()
+tracer.install()
+traced = calls()
+assert tracer.totals["setup"]["verify.calls"] > 0
+assert tracer.totals["setup"]["cli.calls"] > 0
+print(traced == untraced)
+"""
+
+
+def test_the_package_runs_under_the_benchmark_tracer():
+    """The tracer rebinds the package's public names, JumpSeries among
+    them, to plain wrapper functions: the exact and float set sweeps, the
+    exact prime computes and the exact floor return what they return
+    untraced."""
+    src = str(Path(stepsum.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", _UNDER_THE_TRACER, str(PERFBENCH / "tracer.py")],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "True"
+
+
 def test_import_loads_neither_dataclasses_nor_inspect():
     """The package and its CLI stay off dataclasses and inspect, which pull
     in ast, dis and tokenize: about a megabyte a process for nothing."""

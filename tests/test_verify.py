@@ -157,6 +157,42 @@ class TestRandomSetSweep:
         assert all(r.passed for r in reports)
         assert len(calls) == 8
 
+    def test_oracle_sums_are_unreduced(self):
+        """The atom-sum oracle returns (numerator, denominator) as summed:
+        over the lcm of the atom denominators to the kth power for k >= 0,
+        over the product of the terms' denominators for k < 0."""
+        direct = verify._direct_power_sum
+        assert direct([(1, 2), (1, 4)], 1) == (3, 4)
+        assert direct([(1, 2), (1, 4)], 2) == (5, 16)
+        assert direct([(1, 2), (1, 4)], 0) == (2, 1)
+        assert direct([(1, 2), (1, 2)], 1) == (2, 2)
+        assert direct([(3, 2), (3, 2)], -1) == (12, 9)
+        assert direct([(3, 2), (5, 2)], -2) == (136, 225)
+        assert direct([], 2) == direct([], -2) == (0, 1)
+
+    def test_exact_reports_equal_a_reduced_oracle(self, monkeypatch):
+        """An oracle sum equal to the route's value reports the route's
+        value; a different one is reduced and reported as a failure with
+        its own value."""
+        reports = random_set_sweep(3, 2, max_size=30, exact=True)
+        direct = verify._direct_power_sum
+
+        def off_by_one(ratios, k):
+            num, den = direct(ratios, k)
+            return num + 1, den
+
+        monkeypatch.setattr(verify, "_direct_power_sum", off_by_one)
+        wrong = random_set_sweep(3, 2, max_size=30, exact=True)
+        for good, bad in zip(reports, wrong):
+            assert good.passed
+            assert bad.lhs == good.lhs
+            if good.identity is IdentityId.COUNT:
+                assert bad == good
+                continue
+            assert not bad.passed
+            assert bad.abs_err > 0.0
+            assert bad.rhs >= good.rhs
+
     def test_validation(self):
         with pytest.raises(ConfigurationError, match="trial"):
             random_set_sweep(1, 0)
