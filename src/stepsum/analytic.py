@@ -21,7 +21,7 @@ checks at x = 2 come out exact because of it).
 import math
 from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, _check_finite_point, _float_point, _int_text
 from .jump_series import (
     INV_LOG,
     INV_Y_LOG,
@@ -52,11 +52,10 @@ class LiValue(NamedTuple):
 
 
 def _check_analytic_point(x, what="x"):
-    fx = float(x)
-    if not math.isfinite(fx):
-        raise DomainError(f"{what} must be finite, got {x}")
+    _check_finite_point(x, what)
+    fx = _float_point(x, what)
     if fx < 2.0:
-        raise DomainError(f"{what} must be at least 2, got {x}")
+        raise DomainError(f"{what} must be at least 2, got {_int_text(x)}")
     return fx
 
 
@@ -132,7 +131,7 @@ def check_reciprocal_sum_increment(table, a, b, *, tol=1e-10):
     fa = _check_analytic_point(a, "a")
     fb = _check_analytic_point(b, "b")
     if fa > fb:
-        raise DomainError(f"interval out of order: [{a}, {b}]")
+        raise DomainError(f"interval out of order: [{_int_text(a)}, {_int_text(b)}]")
     lhs = table.reciprocal_sum(fb) - table.reciprocal_sum(fa)
     d = INV_Y_LOG.antiderivative_diff(fa, fb)
     rhs = d + (atom_sum(table, "log_weight", INV_LOG, fa, fb) - d)

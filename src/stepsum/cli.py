@@ -9,7 +9,6 @@ an x past a cap, or a bench past its work budget).
 
 import argparse
 import csv
-import decimal
 import functools
 import math
 import statistics
@@ -24,6 +23,8 @@ from .errors import (
     DomainError,
     RangeError,
     ResourceError,
+    _check_finite_point,
+    _int_text,
 )
 from .primes import DEFAULT_LIMIT_CAP, _check_exact_x, sieve
 from .report import IdentityId
@@ -38,26 +39,10 @@ CSV_HEADER = ["identity", "x", "k", "lhs", "rhs", "abs_err", "rel_err", "tol", "
 MAX_SAMPLES = 10**4
 
 
-def _int_text(n):
-    """Decimal digits of an int of any size.
-
-    str() refuses ints past the interpreter's digit limit
-    (sys.get_int_max_str_digits); decimal.Decimal converts without it, and
-    the process-wide limit is left alone for library callers.
-    """
-    try:
-        return str(n)
-    except ValueError:
-        return str(decimal.Decimal(n))
-
-
 def _fmt(value):
     """Render a number: 17 significant digits for floats, num/den for rationals."""
     if isinstance(value, Rational):
-        num, den = int(value.numerator), int(value.denominator)
-        if den == 1:
-            return _int_text(num)
-        return f"{_int_text(num)}/{_int_text(den)}"
+        return _int_text(value)
     return f"{float(value):.17g}"
 
 
@@ -68,11 +53,6 @@ def _fmt_float(value):
 # =====================================================================
 # compute
 # =====================================================================
-
-
-def _require_finite(option, value):
-    if not math.isfinite(value):
-        raise DomainError(f"{option} must be finite, got {value}")
 
 
 def _sieve_to(option, x):
@@ -86,14 +66,14 @@ def _sieve_to(option, x):
     return sieve(max(2, math.ceil(x)))
 
 
-def _compute_value(function, method, x, exact, limit):
+def _compute_value(function, method, x, exact):
     # --exact refuses x past the exact cap on every method, before the sieve
     if exact:
         _check_exact_x(x)
     route = verify.ROUTES[function, method]
     table = None
     if route.needs_table:
-        table = sieve(limit) if limit is not None else _sieve_to("--x", x)
+        table = _sieve_to("--x", x)
     return route.call(table, x, exact)
 
 
@@ -108,8 +88,8 @@ def command_compute(args):
         )
     if args.exact and not verify.ROUTES[function, method].exact:
         raise ConfigurationError(f"{function} {method} has no exact mode")
-    _require_finite("--x", args.x)
-    value = _compute_value(function, method, args.x, args.exact, args.limit)
+    _check_finite_point(args.x, "--x")
+    value = _compute_value(function, method, args.x, args.exact)
     print(f"{function} {method} {_fmt_float(args.x)} {_fmt(value)}")
     return 0
 
@@ -183,14 +163,14 @@ def command_verify(args):
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise ConfigurationError(f"--tol must be finite and at least 0, got {args.tol}")
     if identity is IdentityId.HP_INCREMENT:
-        _require_finite("--xmax", args.xmax)
+        _check_finite_point(args.xmax, "--xmax")
         if args.xmax <= 2.0:
             raise ConfigurationError(f"--xmax must exceed 2, got {args.xmax}")
         table = _sieve_to("--xmax", args.xmax)
         intervals = verify.random_intervals(args.seed, args.samples, hi=args.xmax)
         reports = verify.increment_sweep(table, intervals, tol=args.tol)
     elif identity in verify.POINTWISE:
-        _require_finite("--xmax", args.xmax)
+        _check_finite_point(args.xmax, "--xmax")
         route = verify.ROUTES[verify.POINTWISE[identity]]
         if args.xmax < route.lower:
             raise ConfigurationError(
@@ -336,7 +316,6 @@ def build_parser():
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--method", default=None)
     p.add_argument("--exact", action="store_true")
-    p.add_argument("--limit", type=int, default=None, help="sieve limit override")
     p.set_defaults(func=command_compute)
 
     p = sub.add_parser("verify", help="sweep an identity against its oracle")

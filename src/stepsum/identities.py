@@ -44,7 +44,7 @@ from numbers import Rational, Real
 from operator import add, truediv
 
 from . import staircases
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, _check_finite_point, _int_text
 from .jump_series import (
     JumpSeries,
     Kernel,
@@ -79,11 +79,13 @@ __all__ = [
 
 
 def _require_point_at_or_after(series, x):
+    _check_finite_point(x)
     if len(series) == 0:
         raise DomainError("series has no atoms")
     if x < series.domain_min:
         raise DomainError(
-            f"evaluation point {x} is below the first jump at {series.domain_min}"
+            f"evaluation point {_int_text(x)} is below the first jump at "
+            f"{series.domain_min}"
         )
 
 
@@ -147,7 +149,7 @@ def reciprocal_power_sum_via_abel(cumulative_series, x, k):
     if not isinstance(k, Real):
         raise DomainError(f"exponent must be real, got {k!r}")
     if k < 0:
-        raise DomainError(f"exponent must be nonnegative, got {k}")
+        raise DomainError(f"exponent must be nonnegative, got {_int_text(k)}")
     return _abel_over(cumulative_series, x, -(k + 2), -(k + 1))
 
 
@@ -157,16 +159,13 @@ def reciprocal_power_sum_via_abel(cumulative_series, x, k):
 
 
 def _check_at_least(x, lower, what, exact=False):
-    if not isinstance(x, Real):
-        raise DomainError(f"{what} must be real, got {x!r}")
-    if isinstance(x, float) and not math.isfinite(x):
-        raise DomainError(f"{what} must be finite, got {x}")
+    _check_finite_point(x, what)
     if x < lower:
-        raise DomainError(f"{what} must be at least {lower}, got {x}")
+        raise DomainError(f"{what} must be at least {lower}, got {_int_text(x)}")
     # the routes over the naturals loop once per integer up to x
     if math.floor(x) > DEFAULT_LIMIT_CAP:
         raise ResourceError(
-            f"{what} {x} exceeds the configured cap {DEFAULT_LIMIT_CAP}"
+            f"{what} {_int_text(x)} exceeds the configured cap {DEFAULT_LIMIT_CAP}"
         )
     if exact:
         _check_exact_x(x)

@@ -15,21 +15,22 @@ integrals computed here:
 
 Arithmetic follows the data.  Rational locations and weights (int,
 fractions.Fraction, or any other numbers.Rational such as gmpy2.mpq) flow
-through power-kernel integrals without rounding: an exact series is held
-as integer numerators over one location denominator, with its step values
-in runs of consecutive jumps, each over its own denominator; the segment
-sums run in Python ints, the runs merge pairwise into one run tree
-(_run_tree), where each run before the range adds only its total
-weight.  The Abel identity's two terms, x**m * F(x) and m times the
-integral of y**(m-1) * F(y) from the first jump, both come from one
-such tree (_exact_abel) and are put over one denominator as ints.  One
-helper (_exact_value) builds each exact result, an int or a Fraction.
-The package's own exact staircases are built from ints (_exact_series),
-with no Fraction per atom.  Anything involving a logarithm is evaluated
-in floats, with the antiderivative differences arranged to avoid
-cancellation between nearby segment endpoints; a power kernel's segment
-terms are evaluated in C-level maps (_power_diffs), with the operations
-of its scalar antiderivative_diff.
+through power-kernel integrals without rounding: from construction, an
+exact series holds its locations as integer numerators over one location
+denominator, and its step values in runs of consecutive jumps, each over
+its own denominator (_IntegerForm); the segment sums run in Python ints,
+the runs merge pairwise into one run tree (_run_tree), where each run
+before the range adds only its total weight.  The Abel identity's two
+terms, x**m * F(x) and m times the integral of y**(m-1) * F(y) from the
+first jump, both come from one such tree (_exact_abel) and are put over
+one denominator as ints.  One helper (_exact_value) builds each exact
+result, an int or a Fraction.  The constructor derives that form from
+rational data; the package's own exact staircases are built from their
+builders' ints (_exact_series), with no Fraction per atom.  Anything
+involving a logarithm is evaluated in floats, with the antiderivative
+differences arranged to avoid cancellation between nearby segment
+endpoints; a power kernel's segment terms are evaluated in C-level maps
+(_power_diffs), with the operations of its scalar antiderivative_diff.
 """
 
 import math
@@ -41,7 +42,7 @@ from operator import floordiv, mul, ne, sub, truediv
 from numbers import Integral, Rational, Real
 from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, _check_finite_point, _float_point, _int_text
 
 __all__ = [
     "Kernel",
@@ -101,11 +102,13 @@ class Kernel:
 
     def check_interval(self, a, b):
         if a > b:
-            raise DomainError(f"integration bounds out of order: [{a}, {b}]")
+            raise DomainError(
+                f"integration bounds out of order: [{_int_text(a)}, {_int_text(b)}]"
+            )
         edge = self.lower_domain_edge
         if edge is not None and a <= edge:
             raise DomainError(
-                f"kernel {self.tag} undefined on [{a}, {b}]: "
+                f"kernel {self.tag} undefined on [{_int_text(a)}, {_int_text(b)}]: "
                 f"lower bound must exceed {edge}"
             )
 
@@ -268,7 +271,9 @@ class _IntegerForm(NamedTuple):
     weight i is nums[i] / dens[i], and the running sums are kept in
     ``runs`` of _RUN consecutive jumps.
 
-    A weight need not be in lowest terms, but an integer weight has den 1.
+    ``locations``, ``nums`` and ``dens`` are the sequences it was built
+    from, uncopied (_exact_series).  A weight need not be in lowest
+    terms, but an integer weight has den 1.
     Run r is a pair (den, prefix): den is the lcm of dens[r*_RUN] ..
     dens[(r+1)*_RUN - 1], and prefix[k] / den is the sum of the first k
     of the run's weights, so no running sum is wider than its own run's
@@ -280,7 +285,7 @@ class _IntegerForm(NamedTuple):
     """
 
     loc_den: int
-    locations: tuple
+    locations: Sequence
     nums: Sequence
     dens: Sequence
     integral: bool
@@ -303,20 +308,6 @@ def _balanced(nodes, merge):
             merged.append(nodes[-1])
         nodes = merged
     return nodes[0]
-
-
-def _scale_to_common_denominator(values):
-    """(d, the ints v * d for v in values, lazily) with d the lcm of the
-    denominators; ints are their own scaled values, over d = 1.
-
-    The lcm is merged in a balanced tree: math.lcm(*dens) folds from the
-    left, so every small denominator would meet the whole running lcm.
-    """
-    if all(type(v) is int for v in values):
-        return 1, values
-    dens = [int(v.denominator) for v in values]
-    d = _balanced(dens, math.lcm)
-    return d, (int(v.numerator) * (d // vd) for v, vd in zip(values, dens))
 
 
 def _run(nums, dens):
@@ -354,12 +345,14 @@ class JumpSeries:
     builders know, come from _exact_series, which takes the ints and
     makes no Fraction per atom.
 
-    An exact series (every location and weight rational) does not add up
-    its running sums as Fractions: they are integer numerators, in runs of
-    _RUN consecutive jumps, each run over the lcm of its own weights'
-    denominators (1 for integer weights), computed once on first use, or
-    at once for a series built from ints (_IntegerForm), so integration
-    never renormalises a Fraction per jump.
+    An exact series (every location and weight rational) holds its integer
+    form (_IntegerForm) from construction: the constructor scales the
+    locations over the lcm of their denominators, and ``locations`` and
+    ``weights`` return the tuples it was given.  Its running sums are not
+    added up as Fractions: they are integer numerators, in runs of _RUN
+    consecutive jumps, each run over the lcm of its own weights'
+    denominators (1 for integer weights), so integration never
+    renormalises a Fraction per jump.
     A step value or an integral merges the runs up to its end pairwise,
     and a step value is reduced each time it is asked for, and not kept:
     to an int when every weight is an integer (_IntegerForm.integral), to
@@ -369,20 +362,28 @@ class JumpSeries:
     naturals up to x): at primes.EXACT_X_CAP, the exact floor over the
     naturals builds its series and its run tree, for the step value and
     the integral at once, in about 0.10 s, with a traced peak of about
-    7 MiB.
+    6 MiB.
     """
 
     __slots__ = ("_locations", "_weights", "_prefix", "_is_exact", "_integer")
 
     def __init__(self, locations, weights):
-        self._locations = tuple(locations)
-        self._weights = tuple(weights)
-        types = set(map(type, self._locations)) | set(map(type, self._weights))
+        self._locations = locations = tuple(locations)
+        self._weights = weights = tuple(weights)
+        types = set(map(type, locations)) | set(map(type, weights))
         self._is_exact = all(issubclass(t, Rational) for t in types)
-        self._prefix = None
+        self._prefix = self._integer = None
         if not self._is_exact:
-            self._prefix = (0,) + tuple(accumulate(self._weights))
-        self._integer = None
+            self._prefix = (0,) + tuple(accumulate(weights))
+            return
+        dens = [int(q.denominator) for q in locations]
+        loc_den = _balanced([1, *dens], math.lcm)
+        self._integer = _form_from_ints(
+            loc_den,
+            tuple(int(q.numerator) * (loc_den // d) for q, d in zip(locations, dens)),
+            [int(w.numerator) for w in weights],
+            [int(w.denominator) for w in weights],
+        )
 
     @property
     def locations(self):
@@ -437,25 +438,12 @@ class JumpSeries:
         """
         if not self._is_exact:
             return self._prefix[index]
-        form = self._integer_form()
+        form = self._integer
         r, k = form.run_of(index)
         den, prefix = form.runs[r]
         nodes = [*_rise_nodes(form.runs[:r], 0), (prefix[k], den, 0, 1, 1, 0, 0)]
         n, d = _balanced(nodes, _merge)[:2]
         return _exact_value(form, n, d, True)
-
-    def _integer_form(self):
-        """An exact series' locations and step values as ints (_IntegerForm)."""
-        if self._integer is None:
-            loc_den, locs = _scale_to_common_denominator(self._locations)
-            weights = self._weights
-            self._integer = _form_from_ints(
-                loc_den,
-                tuple(locs),
-                [int(w.numerator) for w in weights],
-                [int(w.denominator) for w in weights],
-            )
-        return self._integer
 
 
 def _exact_series(loc_den, loc_nums, nums, dens):
@@ -467,24 +455,18 @@ def _exact_series(loc_den, loc_nums, nums, dens):
     and positive, and no weight zero.  A ratio need not be in lowest
     terms, but loc_den is 1 when every location is an integer and a den
     is 1 for an integer weight, which the type rule of the results reads
-    (_IntegerForm.integral, _exact_value).  The integer form is filled at
-    once; ``locations`` and ``weights`` are built on first read, an int
-    where the denominator is 1 and a Fraction otherwise.  A function, not
-    a JumpSeries method: a benchmark tracer may rebind the name JumpSeries
-    in the calling modules to a plain function.
+    (_IntegerForm.integral, _exact_value).  The integer form keeps the
+    sequences uncopied (the naturals' range, the sieve's list), so they
+    must not change.  ``locations`` and ``weights`` are built on first
+    read, an int where the denominator is 1 and a Fraction otherwise.  A
+    function, not a JumpSeries method: a benchmark tracer may rebind the
+    name JumpSeries in the calling modules to a plain function.
     """
     series = JumpSeries.__new__(JumpSeries)
     series._locations = series._weights = series._prefix = None
     series._is_exact = True
-    series._integer = _form_from_ints(loc_den, tuple(loc_nums), nums, dens)
+    series._integer = _form_from_ints(loc_den, loc_nums, nums, dens)
     return series
-
-
-def _check_finite_point(x):
-    if isinstance(x, float) and not math.isfinite(x):
-        raise DomainError(f"evaluation point must be finite, got {x}")
-    if not isinstance(x, Real):
-        raise DomainError(f"evaluation point must be real, got {x!r}")
 
 
 def _check_atom(location, weight):
@@ -493,7 +475,7 @@ def _check_atom(location, weight):
     if isinstance(location, float) and not math.isfinite(location):
         raise DomainError(f"atom location must be finite, got {location}")
     if location <= 0:
-        raise DomainError(f"atom location must be positive, got {location}")
+        raise DomainError(f"atom location must be positive, got {_int_text(location)}")
     if not isinstance(weight, Real) or isinstance(weight, bool):
         raise DomainError(f"atom weight must be a real number, got {weight!r}")
     if isinstance(weight, float) and not math.isfinite(weight):
@@ -581,7 +563,7 @@ def integrate_kernel_times_step(series, kernel, a, b):
     i0 = bisect_right(locs, a)
     i1 = bisect_left(locs, b)
     values, nonzero = _float_steps(series, i0, i1)
-    points = (a, *locs[i0:i1], b)
+    points = (_float_point(a), *locs[i0:i1], _float_point(b))
     if all(nonzero):
         ends = list(map(float, points))
         lefts, rights = ends[:-1], ends[1:]
@@ -725,7 +707,7 @@ def _exact_power_integral(series, m, a, b):
     """Integral of y**(m-1) * F(y) over [a, b] (a <= b, m != 0), exactly,
     from the run tree (_run_tree), typed by _exact_value: an int only for
     m = 1 when every weight, location and bound is an integer."""
-    form = series._integer_form()
+    form = series._integer
     root, rest, scale, *_ = _run_tree(form, m, a, b)
     _, den, s = root[:3]
     return _exact_value(form, s * scale, den * rest * m, m == 1)
@@ -746,7 +728,7 @@ def _exact_abel(series, x, m):
     two, even where the weights up to x are integers and later ones are
     not.
     """
-    form = series._integer_form()
+    form = series._integer
     root, rest, scale, i1, bn, bd = _run_tree(form, m, series.domain_min, x)
     n, den, s = root[:3]
     wn, wd = 0, 1

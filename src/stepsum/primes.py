@@ -17,10 +17,15 @@ from array import array
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import compress, repeat
-from numbers import Real
 from operator import truediv
 
-from .errors import DomainError, RangeError, ResourceError
+from .errors import (
+    DomainError,
+    RangeError,
+    ResourceError,
+    _check_finite_point,
+    _int_text,
+)
 
 __all__ = ["PrimeTable", "sieve", "DEFAULT_LIMIT_CAP", "EXACT_X_CAP"]
 
@@ -32,7 +37,7 @@ DEFAULT_LIMIT_CAP = 10**8
 # lcm (jump_series._IntegerForm), and an exact Abel route reads F(x) and
 # its integral from one tree of runs: at this cap the costliest route, the
 # exact floor over the naturals, takes about 0.10 s with a traced peak of
-# about 7 MiB (2 vCPU, Python 3.11).  Past it the exact routes raise
+# about 6 MiB (2 vCPU, Python 3.11).  Past it the exact routes raise
 # ResourceError before they loop.
 EXACT_X_CAP = 3 * 10**4
 
@@ -74,10 +79,11 @@ def sieve(limit):
     if not isinstance(limit, int) or isinstance(limit, bool):
         raise DomainError(f"sieve limit must be an int, got {limit!r}")
     if limit < 2:
-        raise DomainError(f"sieve limit must be at least 2, got {limit}")
+        raise DomainError(f"sieve limit must be at least 2, got {_int_text(limit)}")
     if limit > DEFAULT_LIMIT_CAP:
         raise ResourceError(
-            f"sieve limit {limit} exceeds the configured cap {DEFAULT_LIMIT_CAP}"
+            f"sieve limit {_int_text(limit)} exceeds the configured cap "
+            f"{DEFAULT_LIMIT_CAP}"
         )
     # flag i stands for the odd number 2*i + 1; 1 is not prime
     size = (limit + 1) // 2
@@ -124,13 +130,11 @@ class PrimeTable:
 
     def _cut(self, x):
         """Index just past the last prime <= x, after range checks."""
-        if not isinstance(x, Real):
-            raise DomainError(f"query point must be real, got {x!r}")
-        if isinstance(x, float) and not math.isfinite(x):
-            raise DomainError(f"query point must be finite, got {x}")
+        _check_finite_point(x, "query point")
         if x < 2 or x > self._limit:
             raise RangeError(
-                f"query point {x} outside the sieved range [2, {self._limit}]"
+                f"query point {_int_text(x)} outside the sieved range "
+                f"[2, {self._limit}]"
             )
         # floor first: integer-vs-integer comparison avoids any rounding of
         # exact rational query points.

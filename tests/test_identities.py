@@ -74,6 +74,9 @@ class TestSetRoutes:
         g = build_jump_series([(3, 3)])
         with pytest.raises(DomainError, match="nonnegative"):
             reciprocal_power_sum_via_abel(g, 10, -1)
+        # an exponent past the interpreter's digit limit for str()
+        with pytest.raises(DomainError, match="nonnegative"):
+            reciprocal_power_sum_via_abel(g, 10, -(10**5000))
 
     @pytest.mark.parametrize(
         "route", [power_sum_via_abel, reciprocal_power_sum_via_abel]
@@ -279,6 +282,9 @@ class TestFloorTriangular:
         assert [type(w) for w in s.weights] == [int, Fraction, Fraction, Fraction]
         assert s.value(Fraction(7, 2)) == Fraction(11, 6)
         assert s.value(4) == Fraction(25, 12)
+        # the builder's range, not a copy of its ints
+        form = natural_reciprocal_series(10**4, exact=True)._integer
+        assert type(form.locations) is range
 
     @pytest.mark.parametrize("route", [floor_via_identity, triangular_via_identity])
     def test_memory_at_1e5(self, route):
@@ -385,7 +391,7 @@ class TestExactCap:
     )
     def test_exact_naturals_at_the_cap_peak_memory(self, route, want):
         """The exact staircase of the naturals at the cap peaks below
-        16 MiB (7.0 MiB measured); over one lcm of every weight it took
+        16 MiB (5.8 MiB measured); over one lcm of every weight it took
         172.6 MiB."""
         tracemalloc.start()
         try:

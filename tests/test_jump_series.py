@@ -389,6 +389,18 @@ class TestIntegerPath:
         assert out == 3 + 4 * 2
         assert type(out) is int
 
+    def test_constructor_fills_the_integer_form(self):
+        """An exact series holds its integer form from construction, and
+        its locations and weights are the caller's tuples."""
+        locations = (2, Fraction(7, 2), 5)
+        weights = (Fraction(1, 2), 3, Fraction(-2, 5))
+        s = JumpSeries(locations, weights)
+        assert s._integer is not None
+        assert (s._integer.loc_den, s._integer.locations) == (2, (4, 7, 10))
+        assert s.locations is locations and s.weights is weights
+        assert JumpSeries((), ())._integer.runs == ((1, (0,)),)
+        assert JumpSeries((2.0,), (1.0,))._integer is None
+
     @pytest.mark.parametrize(
         "locations, weights",
         [
@@ -416,7 +428,7 @@ class TestIntegerPath:
         run of RUN weights is math.lcm of its denominators and the running
         sums of a plain loop over it; ``integral`` says every weight is an
         integer."""
-        form = JumpSeries(locations, weights)._integer_form()
+        form = JumpSeries(locations, weights)._integer
         loc_den = math.lcm(*(Fraction(v).denominator for v in locations))
         assert form.loc_den == loc_den
         assert form.locations == tuple(Fraction(v) * loc_den for v in locations)
@@ -658,10 +670,8 @@ class TestExactSeriesFromInts:
         assert [type(w) for w in s.weights] == [
             int if w.denominator == 1 else Fraction for w in ws
         ]
-        totals = [Fraction(p[-1], d) for d, p in s._integer_form().runs]
-        assert totals == [
-            Fraction(p[-1], d) for d, p in reference._integer_form().runs
-        ]
+        totals = [Fraction(p[-1], d) for d, p in s._integer.runs]
+        assert totals == [Fraction(p[-1], d) for d, p in reference._integer.runs]
 
     def test_empty(self):
         s = jump_series._exact_series(1, [], [], [])

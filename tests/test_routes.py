@@ -18,6 +18,7 @@ import pytest
 
 import stepsum
 from stepsum import analytic, cli, identities, jump_series, staircases, verify
+from stepsum.errors import StepSumError
 from stepsum.jump_series import INV_LOG, Y_OVER_LOG, JumpSeries, Kernel
 from stepsum.primes import PrimeTable, sieve
 from stepsum.report import IdentityId
@@ -214,6 +215,83 @@ def test_identity_routes_rest_on_their_integrals_not_their_oracles(monkeypatch):
             assert analytic.prime_count_via_li(table, x) == atoms + 1.0
         got = analytic.prime_count_via_li(table, x)
         assert abs(got - (atoms + 1.0)) <= 2 * math.ulp(li.value)
+
+
+# Points that some route cannot take: not real numbers, not finite, past
+# the float range, or with more digits than str() renders
+# (sys.get_int_max_str_digits)
+BAD_POINTS = [
+    1j, None, "100", math.nan, math.inf, -math.inf, 10**400, Fraction(10**400, 3),
+    10**5000, -10**5000, Fraction(10**5000, 3),
+]
+_H = {
+    True: JumpSeries((2, 3, 5), (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))),
+    False: JumpSeries((2.0, 3.0, 5.0), (0.5, 1 / 3, 0.2)),
+}
+_G = {
+    True: JumpSeries((2, 3, 5), (2, 3, 5)),
+    False: JumpSeries((2.0, 3.0, 5.0), (2.0, 3.0, 5.0)),
+}
+# name -> the route at x over a prime table t, exact or float (e); the
+# analytic routes are float only and ignore e
+POINT_ROUTES = {
+    "count_via_abel": lambda t, e, x: identities.count_via_abel(_H[e], x),
+    "power_sum_via_abel": lambda t, e, x: identities.power_sum_via_abel(_H[e], x, 2),
+    "reciprocal_power_sum_via_abel": (
+        lambda t, e, x: identities.reciprocal_power_sum_via_abel(_G[e], x, 1)
+    ),
+    **{
+        name: lambda t, e, x, f=getattr(identities, name): f(x, exact=e)
+        for name in (
+            "harmonic_direct", "harmonic_via_identity", "floor_via_identity",
+            "triangular_via_identity",
+        )
+    },
+    **{
+        name: lambda t, e, x, f=getattr(identities, name): f(t, x, exact=e)
+        for name in (
+            "prime_count_via_identity", "prime_sum_via_identity",
+            "prime_reciprocal_sum_via_prime_sums", "prime_reciprocal_sum_via_pi",
+        )
+    },
+    "li_from_2": lambda t, e, x: analytic.li_from_2(x),
+    "mertens_remainder": lambda t, e, x: analytic.mertens_remainder(t, x),
+    "prime_count_via_li": lambda t, e, x: analytic.prime_count_via_li(t, x),
+    "prime_reciprocal_sum_via_mertens": (
+        lambda t, e, x: analytic.prime_reciprocal_sum_via_mertens(t, x)
+    ),
+    "check_reciprocal_sum_increment": (
+        lambda t, e, x: analytic.check_reciprocal_sum_increment(t, 3, x)
+    ),
+    "PrimeTable.pi": lambda t, e, x: t.pi(x),
+    "JumpSeries.value": lambda t, e, x: _H[e].value(x),
+    "build_jump_series": lambda t, e, x: jump_series.build_jump_series([(x, 1)]),
+    "integrate_kernel_times_step": (
+        lambda t, e, x: jump_series.integrate_kernel_times_step(
+            _H[e], jump_series.POWER_ZERO, 2, x
+        )
+    ),
+    "integrate_kernel_times_step inv_log": (
+        lambda t, e, x: jump_series.integrate_kernel_times_step(_H[e], INV_LOG, 2, x)
+    ),
+    "stieltjes_integrate": (
+        lambda t, e, x: jump_series.stieltjes_integrate(INV_LOG, _H[e], 2, x)
+    ),
+}
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("route", POINT_ROUTES)
+def test_every_public_route_refuses_a_bad_point_with_a_stepsum_error(route, exact):
+    """Each route returns or raises a StepSumError at every bad point: no
+    TypeError from comparing it, no OverflowError from its float, and no
+    ValueError from a message that renders it."""
+    table = sieve(1000)
+    for x in BAD_POINTS:
+        try:
+            POINT_ROUTES[route](table, exact, x)
+        except StepSumError:
+            pass
 
 
 def test_every_exported_name_resolves():
