@@ -39,10 +39,10 @@ from .identities import (
 )
 from .jump_series import (
     INV_LOG,
+    INV_LOG_MINUS_SQ,
     INV_Y_LOG,
     INV_Y_LOG_SQ,
     POWER_ZERO,
-    Y_OVER_LOG,
     JumpSeries,
     Kernel,
     build_jump_series,
@@ -68,7 +68,7 @@ __all__ = [
     "INV_Y_LOG_SQ",
     "INV_Y_LOG",
     "INV_LOG",
-    "Y_OVER_LOG",
+    "INV_LOG_MINUS_SQ",
     "JumpSeries",
     "build_jump_series",
     "integrate_kernel_times_step",

@@ -5,11 +5,12 @@ Everything here is float-only; the logarithms rule out exact rationals.
 The Mertens remainder R(x), the sum of log(p)/p over p <= x minus log x,
 is a step function F plus the smooth term -log x, so dR is point masses
 at the primes plus the density -1/y.  F is the "log_weight" staircase of
-stepsum.staircases: the routes read F(x) and the integrals against F from
-the terms it prepares once per table (a correctly rounded sum of them is
-bit for bit what stieltjes_integrate and integrate_kernel_times_step
-return on F), and write the density's integral out beside them, as a
-closed-form antiderivative difference.
+stepsum.staircases.  The routes integrate g against dF by parts (Abel's
+identity; Apostol, Introduction to Analytic Number Theory, ch. 4), as
+(F(b) - F(a)) g(b) minus the integral of (F - F(a)) g' over [a, b],
+from the terms the staircase prepares once per table, never from the
+direct sum's terms g(p) log(p)/p, and write the density's integral out
+beside them, as a closed-form antiderivative difference.
 
 The one numerical subtlety worth naming: li and log log differences are
 always computed through the same cancellation-safe closed forms the
@@ -22,16 +23,9 @@ import math
 from typing import NamedTuple
 
 from .errors import DomainError, _check_finite_point, _float_point, _int_text
-from .jump_series import (
-    INV_LOG,
-    INV_Y_LOG,
-    INV_Y_LOG_SQ,
-    Y_OVER_LOG,
-    _ei_diff,
-    _log_ratio,
-)
+from .jump_series import INV_LOG_MINUS_SQ, INV_Y_LOG, INV_Y_LOG_SQ, _ei_diff, _log_ratio
 from .report import IdentityId, make_report
-from .staircases import atom_sum, step, step_integral
+from .staircases import rise_and_integral, step, step_integral
 
 __all__ = [
     "LiValue",
@@ -64,8 +58,7 @@ def li_from_2(x):
 
     Starting at 2 keeps the singularity of 1/log t at t = 1 out of the
     interval, so no principal value is ever involved.  The value and its
-    error bound come from the Ei difference INV_LOG's antiderivative sums,
-    so the li terms of prime_count_via_li cancel bitwise.
+    error bound come from the Ei difference INV_LOG's antiderivative sums.
     """
     fx = _check_analytic_point(x)
     value, err = _ei_diff(math.log(2.0), _log_ratio(2.0, fx))
@@ -93,15 +86,16 @@ def prime_count_via_li(table, x):
     li_from_2(x) plus the Stieltjes integral of y/log y against dR over
     [2, x], plus 1.  The atom at p = 2 is absorbed into the constant, so
     the step part starts strictly above 2 and the check at x = 2 reduces
-    to exactly 1.  The density -1/y integrates y/log y to -(li(x) - li(2)),
-    through the same Ei difference as li_from_2, so the two cancel bitwise:
-    it is that very value, computed once (INV_LOG's antiderivative
-    difference over [2, x] calls _ei_diff with li_from_2's arguments).
+    to exactly 1.  Against dF the integral is taken by parts with g =
+    y/log y and g' = INV_LOG_MINUS_SQ (Apostol, ch. 4); the density -1/y
+    integrates y/log y to -li_from_2(x), computed once, in the paper's
+    written shape li + (integral against dR) + 1.
     """
     fx = _check_analytic_point(x)
-    atoms = atom_sum(table, "log_weight", Y_OVER_LOG, 2.0, fx)
+    rise, integral = rise_and_integral(table, "log_weight", INV_LOG_MINUS_SQ, 2.0, fx)
+    by_parts = rise * (fx / math.log(fx)) - integral
     li = li_from_2(fx).value
-    return li + (atoms - li) + 1.0
+    return li + (by_parts - li) + 1.0
 
 
 def prime_reciprocal_sum_via_mertens(table, x):
@@ -121,20 +115,22 @@ def prime_reciprocal_sum_via_mertens(table, x):
 def check_reciprocal_sum_increment(table, a, b, *, tol=1e-10):
     """Check the increment of the prime reciprocal sum over (a, b].
 
-    Direct side: reciprocal_sum(b) - reciprocal_sum(a).  Identity side:
-    log log b - log log a plus the Stieltjes integral of 1/log y against
-    dR over the subinterval, the step restricted to primes strictly above
-    a so the measure matches the half-open increment.  The density -1/y
-    integrates 1/log y to -(log log b - log log a), which cancels the
-    first term.
+    Direct side: the sum of 1/p over the primes in (a, b]
+    (PrimeTable.reciprocal_sum above a).  Identity side: log log b - log
+    log a plus the Stieltjes integral of 1/log y against dR over (a, b].
+    The density -1/y integrates 1/log y to -(log log b - log log a),
+    which cancels the first term.  Against dF the integral is taken by
+    parts with g = 1/log y (Apostol, ch. 4), whose -g' is the Mertens
+    route's kernel INV_Y_LOG_SQ.
     """
     fa = _check_analytic_point(a, "a")
     fb = _check_analytic_point(b, "b")
     if fa > fb:
         raise DomainError(f"interval out of order: [{_int_text(a)}, {_int_text(b)}]")
-    lhs = table.reciprocal_sum(fb) - table.reciprocal_sum(fa)
+    lhs = table.reciprocal_sum(fb, above=fa)
+    rise, integral = rise_and_integral(table, "log_weight", INV_Y_LOG_SQ, fa, fb)
     d = INV_Y_LOG.antiderivative_diff(fa, fb)
-    rhs = d + (atom_sum(table, "log_weight", INV_LOG, fa, fb) - d)
+    rhs = d + ((rise / math.log(fb) + integral) - d)
     return make_report(
         IdentityId.HP_INCREMENT, x=fa, lhs=lhs, rhs=rhs, tol=tol, k=fb
     )

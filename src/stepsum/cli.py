@@ -33,10 +33,7 @@ __all__ = ["main", "build_parser", "BenchReport", "run_bench", "write_csv"]
 
 CSV_HEADER = ["identity", "x", "k", "lhs", "rhs", "abs_err", "rel_err", "tol", "pass"]
 
-# The most `verify --samples` takes (the default is 50).  A sample is one
-# random set or interval drawn and checked, or one point of a grid that
-# numpy allocates whole, so the count bounds both time and memory.
-MAX_SAMPLES = 10**4
+MAX_SAMPLES = verify.MAX_SAMPLES
 
 
 def _fmt(value):

@@ -178,7 +178,7 @@ def _exact_point(x):
 def natural_reciprocal_series(n, *, exact=False):
     """The series with atoms (i, 1/i) for i = 1..n."""
     if not isinstance(n, int) or n < 1:
-        raise DomainError(f"need a positive int, got {n!r}")
+        raise DomainError(f"need a positive int, got {_int_text(n)}")
     # sorted, distinct, positive and nonzero by construction, so the atoms
     # go straight to the constructor
     ns = range(1, n + 1)
@@ -258,7 +258,7 @@ def iter_harmonic_identity(n_max):
     O(n) pass per point.
     """
     if not isinstance(n_max, int) or n_max < 1:
-        raise DomainError(f"need a positive int, got {n_max!r}")
+        raise DomainError(f"need a positive int, got {_int_text(n_max)}")
     integral = Fraction(0)
     for n in range(1, n_max + 1):
         if n > 1:

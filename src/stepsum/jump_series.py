@@ -9,9 +9,10 @@ integrals computed here:
   evaluated segment by segment between jumps, in closed form for every
   kernel;
 * stieltjes_integrate: the integral of a kernel against the measure dF,
-  the sum of the kernel at each atom times its weight, in floats.  A
-  smooth density beside the atoms (the -1/y of the Mertens remainder) is
-  integrated by its caller, through a kernel's antiderivative_diff.
+  the sum of the kernel at each atom times its weight, in floats (the
+  routes integrate by parts instead).  A smooth density beside the atoms
+  (the -1/y of the Mertens remainder) is integrated by its caller,
+  through a kernel's antiderivative_diff.
 
 Arithmetic follows the data.  Rational locations and weights (int,
 fractions.Fraction, or any other numbers.Rational such as gmpy2.mpq) flow
@@ -50,7 +51,7 @@ __all__ = [
     "INV_Y_LOG_SQ",
     "INV_Y_LOG",
     "INV_LOG",
-    "Y_OVER_LOG",
+    "INV_LOG_MINUS_SQ",
     "JumpSeries",
     "build_jump_series",
     "integrate_kernel_times_step",
@@ -75,9 +76,9 @@ class Kernel:
 
     Instances of this class are kernels in log y, defined for y > 1 and
     evaluated in floats: the module constants INV_Y_LOG_SQ, INV_Y_LOG,
-    INV_LOG and Y_OVER_LOG are 1/(y log^2 y), 1/(y log y), 1/log y and
-    y/log y; the last two integrate to li(y) and li(y**2), where li(y) =
-    Ei(log y) (_ei_diff).  Kernel.power(k) is y**k.
+    INV_LOG and INV_LOG_MINUS_SQ are 1/(y log^2 y), 1/(y log y), 1/log y
+    and 1/log y - 1/log^2 y, the derivatives of -1/log y, log log y,
+    li(y) = Ei(log y) (_ei_diff) and y/log y.  Kernel.power(k) is y**k.
     """
 
     lower_domain_edge = 1.0
@@ -229,11 +230,6 @@ def _ei_diff(u, d):
     return total, (4.0 * eps) * weighted + (n + 16) * eps * total + tail
 
 
-def _ei_kernel(c):
-    """Integral of y**(c-1) / log y over [l, r]: li(r**c) - li(l**c)."""
-    return lambda l, r: _ei_diff(c * math.log(l), c * _log_ratio(l, r))[0]
-
-
 POWER_ZERO = Kernel.power(0)
 INV_Y_LOG_SQ = Kernel(
     "inv_y_log_sq",
@@ -247,8 +243,19 @@ INV_Y_LOG = Kernel(
     # antiderivative log log y
     lambda l, r: math.log1p(_log_ratio(l, r) / math.log(l)),
 )
-INV_LOG = Kernel("inv_log", lambda y: 1.0 / math.log(y), _ei_kernel(1.0))
-Y_OVER_LOG = Kernel("y_over_log", lambda y: y / math.log(y), _ei_kernel(2.0))
+INV_LOG = Kernel(
+    "inv_log",
+    lambda y: 1.0 / math.log(y),
+    lambda l, r: _ei_diff(math.log(l), _log_ratio(l, r))[0],  # li(r) - li(l)
+)
+INV_LOG_MINUS_SQ = Kernel(
+    "inv_log_minus_sq",
+    lambda y: (math.log(y) - 1.0) / math.log(y) ** 2,
+    # antiderivative y/log y, stable when r is near l
+    lambda l, r: (
+        (r - l) / math.log(r) - l * _log_ratio(l, r) / (math.log(l) * math.log(r))
+    ),
+)
 
 
 # =====================================================================
@@ -796,6 +803,9 @@ def stieltjes_integrate(kernel, measure, a, b):
     ``measure`` is the JumpSeries F: each atom with a <= location <= b
     contributes kernel(location) * weight, in floats, and the float sum
     is correctly rounded (math.fsum).
+
+    Public API, which the benchmark's tracer wraps by name; no route calls
+    it, as over the primes its terms are the direct sum's own.
     """
     _check_finite_point(a)
     _check_finite_point(b)

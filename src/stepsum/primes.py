@@ -151,7 +151,9 @@ class PrimeTable:
     def prime_power_sum(self, x, k):
         """Sum of p**k over primes p <= x, as an exact int (0 <= k <= 4)."""
         if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k <= 4:
-            raise DomainError(f"power sum exponent must be an int in [0, 4], got {k!r}")
+            raise DomainError(
+                f"power sum exponent must be an int in [0, 4], got {_int_text(k)}"
+            )
         cut = self._cut(x)
         if k == 0:
             return cut
@@ -160,16 +162,20 @@ class PrimeTable:
             return sum(self._primes[:cut])
         return sum(map(pow, self._primes[:cut], repeat(k)))
 
-    def reciprocal_sum(self, x, *, exact=False):
-        """Sum of 1/p over primes p <= x: compensated float, or exact Fraction.
+    def reciprocal_sum(self, x, *, exact=False, above=None):
+        """Sum of 1/p over primes p <= x, or over above < p <= x when
+        ``above`` is given (range-checked as x is): compensated float, or
+        exact Fraction.
 
         Exact mode refuses x past EXACT_X_CAP with ResourceError.
         """
         cut = self._cut(x)
+        start = 0 if above is None else self._cut(above)
+        primes = self._primes[start:cut]
         if exact:
             _check_exact_x(x)
-            return _fraction_sum((1, p) for p in self._primes[:cut].tolist())
-        return math.fsum(map(truediv, repeat(1.0), self._primes[:cut]))
+            return _fraction_sum((1, p) for p in primes.tolist())
+        return math.fsum(map(truediv, repeat(1.0), primes))
 
     def log_weight_sum(self, x):
         """Sum of log(p)/p over primes p <= x (compensated float)."""

@@ -12,17 +12,16 @@ those terms are prepared instead, one array('d') per store:
   per kind: ``step`` reads F(x) from it;
 * segment terms, F(p_(k+1)) times the kernel's integral over
   [p_k, p_(k+1)], one store per kind and kernel: ``step_integral`` adds
-  the segments inside [a, b] and a partial segment at each end;
-* atom terms kernel(p) * w(p), one store per kind and kernel:
-  ``atom_sum``, the integral of the kernel against dF over (above, x],
-  adds a slice of them.
+  the segments inside [a, b] and a partial segment at each end, and
+  ``rise_and_integral`` reads the same slice with F counted from a, for
+  a route that sums against dF by parts.
 
 Sieve output is sorted, distinct, positive and finite, and no weight is
 zero, so nothing needs validation, sort or merge.  Every term is computed
-with the expression that build_jump_series, integrate_kernel_times_step
-and stieltjes_integrate use for the same query on a JumpSeries of the
-atoms (p, w(p)), and each query is one math.fsum, which is correctly
-rounded, over the very terms they add: its result is theirs bit for bit.
+with the expression that build_jump_series and integrate_kernel_times_step
+use for the same query on a JumpSeries of the atoms (p, w(p)), and each
+integral is one math.fsum, which is correctly rounded, over the very
+terms they add: its result is theirs bit for bit.
 
 Preparation is lazy.  Each store covers the primes up to the largest x
 asked of it so far and grows when a query goes past it, so no term above
@@ -41,7 +40,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain
 
-__all__ = ["atom_sum", "step", "step_integral"]
+__all__ = ["rise_and_integral", "step", "step_integral"]
 
 
 # kind -> the float weight of the prime p
@@ -57,15 +56,14 @@ class _Prepared:
     """One table's prepared terms, each store a prefix over its primes.
 
     Per kind asked for so far, the ``steps``: F after no prime and then
-    after each prime; per (kind, kernel) asked for so far, the ``atoms``
-    (term k at prime k) and the ``segments`` (term k over [p_k, p_(k+1)]).
+    after each prime; per (kind, kernel) asked for so far, the
+    ``segments``: term k over [p_k, p_(k+1)].
     """
 
-    __slots__ = ("steps", "atoms", "segments")
+    __slots__ = ("steps", "segments")
 
     def __init__(self):
         self.steps = {}
-        self.atoms = {}
         self.segments = {}
 
 
@@ -97,21 +95,6 @@ def _steps(prepared, primes, kind, cut):
     return steps
 
 
-def _atom_terms(table, kind, kernel, cut):
-    """The table's atom terms of ``kind`` and ``kernel``, covering its
-    first ``cut`` primes."""
-    weight = _WEIGHTS[kind]
-    with _LOCK:
-        terms = _entry(table).atoms.setdefault((kind, kernel), array("d"))
-        have = len(terms)
-        if cut > have:
-            terms.extend(
-                float(kernel(float(p))) * weight(p)
-                for p in table.primes[have:cut].tolist()
-            )
-        return terms
-
-
 def _segment_terms(table, kind, kernel, cut):
     """The table's step values of ``kind`` and its segment terms of
     ``kind`` and ``kernel``, covering its first ``cut`` primes."""
@@ -128,19 +111,6 @@ def _segment_terms(table, kind, kernel, cut):
         return steps, terms
 
 
-def atom_sum(table, kind, kernel, above, x):
-    """The sum of kernel(p) * w(p) over the primes p of ``table`` with
-    above < p <= x: the integral of the kernel against dF over (above, x].
-
-    Bit for bit stieltjes_integrate(kernel, G, above, x), G the JumpSeries
-    of the atoms (p, w(p)) over those primes.  ``above`` <= ``x`` are
-    reals and ``x`` is range-checked as by PrimeTable.pi.
-    """
-    cut = table.pi(x)
-    start = bisect_right(table.primes, math.floor(above), 0, cut)
-    return math.fsum(_atom_terms(table, kind, kernel, cut)[start:cut])
-
-
 def step(table, kind, x):
     """F(x), the sum of w(p) over the primes p <= x, added in prime order:
     bit for bit the step value of the JumpSeries of those atoms.  ``x`` is
@@ -150,17 +120,11 @@ def step(table, kind, x):
         return _steps(_entry(table), table.primes, kind, cut)[cut]
 
 
-def step_integral(table, kind, kernel, a, b):
-    """Integral of kernel(y) * F(y) over [a, b], for floats 2 <= a <= b.
-
-    Bit for bit integrate_kernel_times_step(G, kernel, a, b), G the
-    JumpSeries of the atoms (p, w(p)) over the primes p <= b: the same
-    segment terms, in one correctly rounded sum.
-    """
+def _integral(table, kind, kernel, a, b):
+    """(F(a), F(b), the integral of kernel(y) * F(y) over [a, b]) for
+    floats 2 <= a <= b, the integral as step_integral gives it."""
     kernel.check_interval(a, b)
     cut = table.pi(b)
-    if a == b:
-        return 0.0
     primes = table.primes
     # the primes strictly inside (a, b) are those at i0, ..., i1 - 1
     i0 = bisect_right(primes, math.floor(a), 0, cut)
@@ -168,7 +132,30 @@ def step_integral(table, kind, kernel, a, b):
     steps, segments = _segment_terms(table, kind, kernel, cut)
     diff = kernel.antiderivative_diff
     if i1 <= i0:
-        return math.fsum((steps[i0] * diff(a, b),))
-    head = steps[i0] * diff(a, float(primes[i0]))
-    tail = steps[i1] * diff(float(primes[i1 - 1]), b)
-    return math.fsum(chain((head, tail), segments[i0 : i1 - 1]))
+        terms = (steps[i0] * diff(a, b),)
+    else:
+        head = steps[i0] * diff(a, float(primes[i0]))
+        tail = steps[i1] * diff(float(primes[i1 - 1]), b)
+        terms = chain((head, tail), segments[i0 : i1 - 1])
+    return steps[i0], steps[cut], math.fsum(terms)
+
+
+def step_integral(table, kind, kernel, a, b):
+    """Integral of kernel(y) * F(y) over [a, b], for floats 2 <= a <= b.
+
+    Bit for bit integrate_kernel_times_step(G, kernel, a, b), G the
+    JumpSeries of the atoms (p, w(p)) over the primes p <= b: the same
+    segment terms, in one correctly rounded sum.
+    """
+    return _integral(table, kind, kernel, a, b)[2]
+
+
+def rise_and_integral(table, kind, kernel, a, b):
+    """(F(b) - F(a), the integral of kernel(y) * (F(y) - F(a)) over [a, b])
+    for floats 2 <= a <= b, the parts of a sum against dF over (a, b] by
+    parts, from one look at the stores.  The integral is step_integral's
+    minus F(a) times the kernel's integral over [a, b]: exactly 0.0 when
+    no prime lies strictly inside (a, b).
+    """
+    below, top, integral = _integral(table, kind, kernel, a, b)
+    return top - below, integral - below * kernel.antiderivative_diff(a, b)

@@ -20,10 +20,17 @@ import math
 import random
 from bisect import bisect_right
 from fractions import Fraction
+from numbers import Real
 from typing import Callable, NamedTuple
 
 from . import analytic, identities
-from .errors import ConfigurationError, DomainError, RangeError
+from .errors import (
+    ConfigurationError,
+    DomainError,
+    RangeError,
+    _float_point,
+    _int_text,
+)
 from .jump_series import JumpSeries, _exact_series
 from .report import IdentityId, error_report, make_report
 
@@ -36,10 +43,16 @@ __all__ = [
     "increment_sweep",
     "random_intervals",
     "MIN_PAIRWISE_GAP",
+    "MAX_SAMPLES",
     "MAX_SET_SIZE",
 ]
 
 MIN_PAIRWISE_GAP = 1e-6
+# The most intervals random_intervals draws, and the most `verify
+# --samples` takes (the default is 50).  A sample is one random set or
+# interval drawn and checked, or one point of a grid that numpy allocates
+# whole, so the count bounds both time and memory.
+MAX_SAMPLES = 10**4
 # A draw of n points on (1, 1000) has about n**2 * gap / 999 pairs closer than the
 # gap and is redrawn unless it has none: 0.1 pairs at n = 10**4, 1000 at 10**6.
 MAX_SET_SIZE = 10**4
@@ -184,11 +197,22 @@ def increment_sweep(table, intervals, *, tol=1e-10, jobs=1):
 
 
 def random_intervals(seed, count, *, lo=2.0, hi=10**4):
-    """Seeded random subintervals [a, b] of [lo, hi], a < b."""
-    if count < 1:
-        raise ConfigurationError(f"need at least one interval, got {count}")
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ConfigurationError(f"need finite lo < hi, got [{lo}, {hi}]")
+    """Seeded random subintervals [a, b] of [lo, hi], a < b: ``count`` of
+    them, an int from 1 to MAX_SAMPLES, for real lo < hi in the float
+    range."""
+    if not isinstance(count, int) or not 1 <= count <= MAX_SAMPLES:
+        raise ConfigurationError(
+            f"need an int count of intervals in [1, {MAX_SAMPLES}], "
+            f"got {_int_text(count)}"
+        )
+    finite = (
+        isinstance(v, Real) and math.isfinite(_float_point(v, "interval bound"))
+        for v in (lo, hi)
+    )
+    if not (all(finite) and lo < hi):
+        raise ConfigurationError(
+            f"need finite lo < hi, got [{_int_text(lo)}, {_int_text(hi)}]"
+        )
     rng = random.Random(seed)
     out = []
     for _ in range(count):

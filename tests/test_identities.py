@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from stepsum.errors import DomainError, RangeError, ResourceError
 from stepsum.identities import (
+    _check_at_least,
     count_via_abel,
     floor_via_identity,
     harmonic_direct,
@@ -33,7 +34,7 @@ from stepsum.jump_series import (
     integrate_kernel_times_step,
     _rational_pow,
 )
-from stepsum.primes import EXACT_X_CAP, sieve
+from stepsum.primes import DEFAULT_LIMIT_CAP, EXACT_X_CAP, sieve
 
 
 @pytest.fixture(scope="module")
@@ -333,6 +334,15 @@ class TestExactCap:
         for x in (EXACT_X_CAP + 1, Fraction(2 * EXACT_X_CAP + 3, 2), 10**7):
             with pytest.raises(ResourceError, match="exceeds the configured cap"):
                 route(x, exact=True)
+
+    def test_naturals_loop_cap_is_inclusive(self):
+        """The routes over the naturals loop once per integer up to x: x
+        with floor(x) at DEFAULT_LIMIT_CAP passes the check, one past it
+        is refused (checked directly, with no loop that long)."""
+        for x in (DEFAULT_LIMIT_CAP, DEFAULT_LIMIT_CAP + 0.5):
+            _check_at_least(x, 1, "x")
+        with pytest.raises(ResourceError, match="exceeds the configured cap"):
+            _check_at_least(DEFAULT_LIMIT_CAP + 1, 1, "x")
 
     def test_harmonic_at_the_cap_is_exact(self):
         """The cap is inclusive: the floor of x is what counts."""

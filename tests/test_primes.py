@@ -129,6 +129,19 @@ class TestQueries:
         assert table.reciprocal_sum(7, exact=True) == Fraction(247, 210)
         assert table.reciprocal_sum(7.9) == pytest.approx(247 / 210, rel=1e-15)
 
+    @pytest.mark.parametrize(
+        "above, x", [(2, 10), (2.5, 97.5), (13, 16), (97, 97), (3, 10**4)]
+    )
+    def test_reciprocal_sum_above(self, table, above, x):
+        """Over the primes in (above, x]: one sum of their terms, in float
+        and exact mode, and 0.0 over an interval with no prime."""
+        ps = [p for p in _trial_division_primes(math.floor(x)) if p > above]
+        assert table.reciprocal_sum(x, above=above) == math.fsum(1.0 / p for p in ps)
+        exact = table.reciprocal_sum(x, exact=True, above=above)
+        assert exact == sum(Fraction(1, p) for p in ps)
+        with pytest.raises(RangeError):
+            table.reciprocal_sum(x, above=1)
+
     def test_exact_reciprocal_sum_at_every_limit_to_3000(self):
         """The pairwise sum equals one Fraction added per prime, as a
         Fraction, on a table sieved to each limit."""

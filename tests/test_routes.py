@@ -10,16 +10,15 @@ import os
 import pkgutil
 import subprocess
 import sys
-from array import array
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import stepsum
-from stepsum import analytic, cli, identities, jump_series, staircases, verify
+from stepsum import analytic, cli, identities, jump_series, verify
 from stepsum.errors import StepSumError
-from stepsum.jump_series import INV_LOG, Y_OVER_LOG, JumpSeries, Kernel
+from stepsum.jump_series import INV_LOG, JumpSeries, Kernel
 from stepsum.primes import PrimeTable, sieve
 from stepsum.report import IdentityId
 from stepsum.verify import POINTWISE, ROUTES
@@ -126,12 +125,13 @@ def test_identity_routes_rest_on_their_integrals_not_their_oracles(monkeypatch):
     routes share it as input data, through table.pi and table.primes_leq,
     to find the primes up to x.  Then each route's integral machinery is
     perturbed: the power kernels' segment integrals (_power_diffs) and the
-    log kernels' segment terms scaled by 1 + 2**-20, the prepared atom
-    terms scaled alike, and 1 added to the sum of the exact run tree's root
-    and to the exact harmonic segment sum; every result moves.  The float
+    log kernels' segment terms scaled by 1 + 2**-20, and 1 added to the
+    sum of the exact run tree's root and to the exact harmonic segment
+    sum; every result moves, the li route's among them.  The float
     harmonic route sums its unit segments in closed form inside
-    harmonic_via_identity, so it is only poisoned.  The li route's two li
-    terms cancel bit for bit, so its result rests on the atom sum alone.
+    harmonic_via_identity, so it is only poisoned.  Last, with the oracles
+    back, the same scaling moves the increment check's identity side,
+    which rests on the Mertens route's segment terms.
     """
     for name in ("prime_power_sum", "reciprocal_sum", "log_weight_sum"):
         monkeypatch.setattr(PrimeTable, name, _oracle)
@@ -177,7 +177,6 @@ def test_identity_routes_rest_on_their_integrals_not_their_oracles(monkeypatch):
 
     power_diffs = jump_series._power_diffs
     segment_terms = Kernel.segment_terms
-    atom_terms = staircases._atom_terms
     run_tree = jump_series._run_tree
     segment_sum = identities._segment_sum
 
@@ -192,9 +191,6 @@ def test_identity_routes_rest_on_their_integrals_not_their_oracles(monkeypatch):
         perturbed.setattr(
             Kernel, "segment_terms", lambda *a: _scaled(segment_terms(*a))
         )
-        perturbed.setattr(
-            staircases, "_atom_terms", lambda *a: array("d", _scaled(atom_terms(*a)))
-        )
         perturbed.setattr(jump_series, "_run_tree", shifted_run_tree)
         perturbed.setattr(identities, "_segment_sum", lambda n: segment_sum(n) + 1)
         moved = results()
@@ -203,18 +199,21 @@ def test_identity_routes_rest_on_their_integrals_not_their_oracles(monkeypatch):
             continue
         assert moved[key] != value, key
 
-    for x in map(float, xs):
+    monkeypatch.undo()
+    intervals = [(2.0, 97.0), (7.5, 1000.5), (500.0, 1000.0)]
+
+    def increments():
         table = sieve(1001)
-        atoms = staircases.atom_sum(table, "log_weight", Y_OVER_LOG, 2.0, x)
-        # the density -1/y integrates y/log y to minus INV_LOG's integral,
-        # which is li_from_2's value bit for bit
-        li = analytic.li_from_2(x)
-        assert INV_LOG.antiderivative_diff(2.0, x) == li.value
-        with monkeypatch.context() as no_li:
-            no_li.setattr(analytic, "li_from_2", lambda x: li._replace(value=0.0))
-            assert analytic.prime_count_via_li(table, x) == atoms + 1.0
-        got = analytic.prime_count_via_li(table, x)
-        assert abs(got - (atoms + 1.0)) <= 2 * math.ulp(li.value)
+        check = analytic.check_reciprocal_sum_increment
+        return [check(table, a, b).rhs for a, b in intervals]
+
+    base = increments()
+    with monkeypatch.context() as perturbed:
+        perturbed.setattr(
+            Kernel, "segment_terms", lambda *a: _scaled(segment_terms(*a))
+        )
+        moved = increments()
+    assert all(m != b for m, b in zip(moved, base)), (base, moved)
 
 
 # Points that some route cannot take: not real numbers, not finite, past
@@ -292,6 +291,42 @@ def test_every_public_route_refuses_a_bad_point_with_a_stepsum_error(route, exac
             POINT_ROUTES[route](table, exact, x)
         except StepSumError:
             pass
+
+
+# Arguments other than points that a public function refuses: ints past
+# the interpreter's str() limit, and random_intervals' count and bounds
+BAD_ARGUMENTS = {
+    "natural_reciprocal_series": (
+        lambda: identities.natural_reciprocal_series(-10**5000)
+    ),
+    "iter_harmonic_identity": (
+        lambda: next(identities.iter_harmonic_identity(-10**5000))
+    ),
+    "prime_power_sum": lambda: sieve(10).prime_power_sum(10, 10**5000),
+    **{
+        f"random_intervals count={label}": (
+            lambda count=count: verify.random_intervals(1, count)
+        )
+        for label, count in [
+            ("None", None), ("'5'", "5"), ("2.5", 2.5), ("nan", math.nan),
+            ("cap + 1", cli.MAX_SAMPLES + 1), ("-10**5000", -10**5000),
+        ]
+    },
+    "random_intervals lo=-10**5000": (
+        lambda: verify.random_intervals(1, 1, lo=-10**5000)
+    ),
+    "random_intervals hi='100'": lambda: verify.random_intervals(1, 1, hi="100"),
+}
+
+
+@pytest.mark.parametrize("call", BAD_ARGUMENTS)
+def test_a_bad_argument_is_refused_with_a_stepsum_error(call):
+    """Refused before any loop, with no TypeError, OverflowError or
+    ValueError from the check or from a message that renders the
+    argument; MAX_SAMPLES + 1 intervals would draw quickly, so the cap
+    shows as a missing refusal, not as a run without end."""
+    with pytest.raises(StepSumError):
+        BAD_ARGUMENTS[call]()
 
 
 def test_every_exported_name_resolves():

@@ -15,14 +15,12 @@ from hypothesis import strategies as st
 
 from stepsum import analytic, identities, staircases
 from stepsum.jump_series import (
-    INV_LOG,
+    INV_LOG_MINUS_SQ,
     INV_Y_LOG,
     INV_Y_LOG_SQ,
-    Y_OVER_LOG,
     Kernel,
     build_jump_series,
     integrate_kernel_times_step,
-    stieltjes_integrate,
 )
 from stepsum.primes import sieve
 
@@ -49,7 +47,7 @@ IDENTITY_ROUTES = {
 # every (kind, kernel) whose integral of kernel(y) * F(y) a route takes
 STEP_INTEGRALS = [
     (kind, Kernel.power(k)) for _, kind, k, _ in IDENTITY_ROUTES.values()
-] + [("log_weight", INV_Y_LOG_SQ)]
+] + [("log_weight", INV_Y_LOG_SQ), ("log_weight", INV_LOG_MINUS_SQ)]
 
 
 @pytest.fixture(scope="module")
@@ -57,12 +55,10 @@ def table():
     return sieve(LIMIT)
 
 
-def built(table, weight, x, above=None):
-    """The staircase of ``weight`` over the primes in (above, x], as
+def built(table, weight, x):
+    """The staircase of ``weight`` over the primes up to x, as
     build_jump_series makes it from the table."""
     ps = table.primes_leq(x).tolist()
-    if above is not None:
-        ps = [p for p in ps if p > above]
     return build_jump_series((float(p), weight(p)) for p in ps)
 
 
@@ -70,7 +66,7 @@ def same_float(a, b):
     return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
-# The analytic routes as they were written on a per-query JumpSeries of the
+# The analytic routes written out on a per-query JumpSeries of the
 # log-weight atoms, term grouping and all: the prepared sums must match
 # them bit for bit.  Each is f(table, x, t); the increment runs over
 # (a, x] with a = 2 + (x - 2) * t, or a = x when t is 1.
@@ -80,15 +76,22 @@ def _start(x, t):
     return x if t == 1.0 else 2.0 + (x - 2.0) * t
 
 
+def by_parts(series, kernel, a, x):
+    """(F(x) - F(a), integral of kernel(y) * (F(y) - F(a)) over [a, x]) on
+    a built staircase F, as rise_and_integral takes them."""
+    below = series.value(a)
+    integral = integrate_kernel_times_step(series, kernel, a, x)
+    return series.value(x) - below, integral - below * kernel.antiderivative_diff(a, x)
+
+
 def ref_mertens_remainder(table, x, t):
     return float(built(table, log_weight, x).value(x)) - math.log(x)
 
 
 def ref_prime_count_via_li(table, x, t):
-    series = built(table, log_weight, x, above=2)
-    atoms = stieltjes_integrate(Y_OVER_LOG, series, 2.0, x)
-    s = atoms - INV_LOG.antiderivative_diff(2.0, x)
-    return analytic.li_from_2(x).value + s + 1.0
+    rise, integral = by_parts(built(table, log_weight, x), INV_LOG_MINUS_SQ, 2.0, x)
+    li = analytic.li_from_2(x).value
+    return li + ((rise * (x / math.log(x)) - integral) - li) + 1.0
 
 
 def ref_prime_reciprocal_sum_via_mertens(table, x, t):
@@ -101,9 +104,9 @@ def ref_prime_reciprocal_sum_via_mertens(table, x, t):
 
 def ref_increment_rhs(table, x, t):
     a = _start(x, t)
-    series = built(table, log_weight, x, above=a)
+    rise, integral = by_parts(built(table, log_weight, x), INV_Y_LOG_SQ, a, x)
     d = INV_Y_LOG.antiderivative_diff(a, x)
-    return d + (stieltjes_integrate(INV_LOG, series, a, x) - d)
+    return d + ((rise / math.log(x) + integral) - d)
 
 
 # name -> (route, reference), each f(table, x, t)
@@ -185,20 +188,21 @@ class TestPreparedSlices:
         # between consecutive primes
         assert len(prepared.steps["reciprocal"]) == 5
         assert len(prepared.segments["reciprocal", Kernel.power(0)]) == 3
-        analytic.prime_count_via_li(table, 100.5)
-        assert len(prepared.atoms["log_weight", Y_OVER_LOG]) == 25
         analytic.check_reciprocal_sum_increment(table, 20.0, 30.5)
-        assert len(prepared.atoms["log_weight", INV_LOG]) == 10
-        analytic.prime_reciprocal_sum_via_mertens(table, 30.0)
         assert len(prepared.steps["log_weight"]) == 11
         assert len(prepared.segments["log_weight", INV_Y_LOG_SQ]) == 9
+        analytic.prime_count_via_li(table, 100.5)
+        assert len(prepared.steps["log_weight"]) == 26
+        assert len(prepared.segments["log_weight", INV_LOG_MINUS_SQ]) == 24
+        analytic.prime_reciprocal_sum_via_mertens(table, 30.0)
         analytic.mertens_remainder(table, 20.0)
         identities.prime_count_via_identity(table, 30.0)
         assert len(prepared.steps["reciprocal"]) == 11
         assert len(prepared.segments["reciprocal", Kernel.power(0)]) == 9
-        assert len(prepared.atoms["log_weight", Y_OVER_LOG]) == 25
-        assert len(prepared.steps["log_weight"]) == 11
+        assert len(prepared.segments["log_weight", INV_Y_LOG_SQ]) == 9
+        assert len(prepared.steps["log_weight"]) == 26
         assert sorted(prepared.steps) == ["log_weight", "reciprocal"]
+        assert len(prepared.segments) == 3
 
     def test_prepared_data_die_with_the_table(self):
         table = sieve(1000)
@@ -230,10 +234,9 @@ class TestPreparedSlices:
             tracemalloc.stop()
         prepared = staircases._PREPARED[table]
         n = len(table.primes)
-        stores = [*prepared.steps.values(), *prepared.atoms.values()]
-        stores += prepared.segments.values()
-        # steps of 4 kinds, 2 atom stores and 5 segment stores
-        assert len(stores) == 11
+        stores = [*prepared.steps.values(), *prepared.segments.values()]
+        # steps of 4 kinds and 6 segment stores
+        assert len(stores) == 10
         assert all(n - 1 <= len(store) <= n + 1 for store in stores)
         mine = snapshot.filter_traces([tracemalloc.Filter(True, staircases.__file__)])
         held = sum(stat.size for stat in mine.statistics("filename"))
