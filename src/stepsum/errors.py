@@ -7,7 +7,8 @@ and PanelBudgetError comes only from the tests' reference quadrature.
 
 A public route that takes a point refuses a bad one with a StepSumError:
 _check_finite_point and _float_point raise DomainError, and a message
-renders the point with _int_text, at any size.
+renders the point with _int_text, at any size.  A sweep refuses a bad
+count of draws the same way, with _check_count's ConfigurationError.
 """
 
 import decimal
@@ -68,6 +69,15 @@ def _check_finite_point(x, what="evaluation point"):
             raise DomainError(f"{what} must be real, got {x!r}")
         if not math.isfinite(x):
             raise DomainError(f"{what} must be finite, got {x}")
+
+
+def _check_count(n, what, cap):
+    """Refuse n with ConfigurationError unless it is an int from 1 to
+    ``cap``: the count of a loop, checked before the loop starts."""
+    if not isinstance(n, int) or not 1 <= n <= cap:
+        raise ConfigurationError(
+            f"need an int {what} in [1, {cap}], got {_int_text(n)}"
+        )
 
 
 def _float_point(x, what="evaluation point"):

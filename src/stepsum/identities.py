@@ -27,10 +27,12 @@ on a fast rational type.  The exact staircases over the naturals and
 the primes are built from ints (jump_series._exact_series): each weight,
 1/i, 1/p, p or 1, is a numerator and a denominator, and no Fraction is
 made per atom.  Over an exact series at an int or Fraction x, the first
-jump included, _abel_over takes F(x) and the integral from one run tree
-and reduces once (jump_series._exact_abel): the boundary term and the
-integral are still two terms, combined over one denominator in ints,
-and the result is the rational, and the type, that _abel gives.  The
+jump included, _exact_abel_over takes F(x) and the integral from one run
+tree (jump_series._exact_abel): the boundary term and the integral are
+still two terms, combined over one denominator in ints, and left
+unreduced.  The exact set checks of stepsum.verify compare that pair
+with their oracle's as it is; _abel_over reduces it once, to the
+rational, and the type, that _abel gives.  The
 exact sums over the primes or the naturals up to x have denominators of
 about 1.44 x bits; exact mode refuses x past primes.EXACT_X_CAP with
 ResourceError before it loops.
@@ -49,6 +51,7 @@ from .jump_series import (
     JumpSeries,
     Kernel,
     integrate_kernel_times_step,
+    _abel_value,
     _balanced,
     _exact_abel,
     _exact_series,
@@ -103,20 +106,32 @@ def _abel_over(series, x, k, m):
     passed, so neither is derived from the other in float arithmetic.
 
     Over an exact series, at an int or Fraction x from the first jump on
-    and an int k != -1, F(x) and the integral come from one run tree and
-    are combined in ints (jump_series._exact_abel): the same rational, of
-    the same type, as _abel of the step value and the integral.  The rest
-    (floats, k = -1, other types of x or k) takes _abel.
+    and an int k != -1, the sum is _exact_abel_over's, typed by
+    jump_series._abel_value: the same rational, of the same type, as
+    _abel of the step value and the integral.  The rest (floats, k = -1,
+    other types of x or k) takes _abel.
+    """
+    if series.is_exact and type(x) in (int, Fraction) and type(k) is int and k != -1:
+        return _abel_value(series, x, m, _exact_abel_over(series, x, k, m))
+    _require_point_at_or_after(series, x)
+    kernel = Kernel.power(k)
+    step = series.value(x)
+    integral = integrate_kernel_times_step(series, kernel, series.domain_min, x)
+    return _abel(x, m, step, integral)
+
+
+def _exact_abel_over(series, x, k, m):
+    """_abel_over's sum over an exact series, for an int or Fraction x and
+    an int k != -1, as an unreduced (numerator, denominator) pair.
+
+    It makes _abel_over's point and interval checks, then takes F(x) and
+    the integral from one run tree, combined in ints
+    (jump_series._exact_abel).  The exact set checks compare the pair with
+    their oracle's as it is, so no result of theirs is reduced.
     """
     _require_point_at_or_after(series, x)
-    a = series.domain_min
-    kernel = Kernel.power(k)
-    if series.is_exact and type(x) in (int, Fraction) and type(k) is int and k != -1:
-        kernel.check_interval(a, x)
-        return _exact_abel(series, x, m)
-    step = series.value(x)
-    integral = integrate_kernel_times_step(series, kernel, a, x)
-    return _abel(x, m, step, integral)
+    Kernel.power(k).check_interval(series.domain_min, x)
+    return _exact_abel(series, x, m)
 
 
 def count_via_abel(series, x):

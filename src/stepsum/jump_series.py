@@ -24,10 +24,12 @@ the runs merge pairwise into one run tree (_run_tree), where each run
 before the range adds only its total weight.  The Abel identity's two
 terms, x**m * F(x) and m times the integral of y**(m-1) * F(y) from the
 first jump, both come from one such tree (_exact_abel) and are put over
-one denominator as ints.  One helper (_exact_value) builds each exact
-result, an int or a Fraction.  The constructor derives that form from
-rational data; the package's own exact staircases are built from their
-builders' ints (_exact_series), with no Fraction per atom.  Anything
+one denominator as ints, left unreduced (_Unreduced): an exact set check
+compares that pair with its oracle's as it is.  One helper (_exact_value)
+builds each exact result a public function returns, an int or a
+Fraction.  The constructor derives that form from rational data; the
+package's own exact staircases are built from their builders' ints
+(_exact_series), with no Fraction per atom.  Anything
 involving a logarithm is evaluated in floats, with the antiderivative
 differences arranged to avoid cancellation between nearby segment
 endpoints; a power kernel's segment terms are evaluated in C-level maps
@@ -701,6 +703,14 @@ def _run_tree(form, m, a, b):
     return root, rest * root[4], scale, i1, bn, bd
 
 
+class _Unreduced(NamedTuple):
+    """numerator / denominator as two ints, not reduced, with a Fraction's
+    attribute names, so that stepsum.report reads both alike."""
+
+    numerator: int
+    denominator: int
+
+
 def _exact_value(form, num, den, whole):
     """num / den by the type rule of every exact result: an int when den
     is 1, every weight is an integer (_IntegerForm.integral) and the
@@ -722,18 +732,16 @@ def _exact_power_integral(series, m, a, b):
 
 def _exact_abel(series, x, m):
     """x**m * F(x) - m * (integral of y**(m-1) * F(y) from the first jump
-    to x), exactly, from one run tree (_run_tree).
+    to x), exactly, from one run tree (_run_tree), as an _Unreduced pair.
 
     For an exact series, an int or Fraction x from the first jump on and
     an int m != 0.  The tree's root gives both terms: its rise is F just
     below x plus the weight at x for an atom past the first jump, or F(x)
     at the first jump, and its sum is m times the integral.  The two
-    terms stay apart until they are put over one denominator as ints,
-    and _exact_value types the result: an int only for m = 1, an int x,
-    integer locations and integer weights, where the step value and the
-    integral are ints too.  So the type is the one _abel gives of the
-    two, even where the weights up to x are integers and later ones are
-    not.
+    terms stay apart until they are put over one denominator as ints, and
+    nothing is reduced: an exact set check compares the pair with its
+    oracle's by cross-multiplication, and _abel_value types it for a
+    public route.
     """
     form = series._integer
     root, rest, scale, i1, bn, bd = _run_tree(form, m, series.domain_min, x)
@@ -747,8 +755,16 @@ def _exact_abel(series, x, m):
         xn, xd = x.denominator**-m, x.numerator**-m
     # x**m * (n/den + wn/wd) - s * scale / (den * rest)
     num = xn * (n * wd + wn * den) * rest - s * scale * xd * wd
-    units = xd * wd * den * rest
-    return _exact_value(form, num, units, m == 1 and type(x) is int)
+    return _Unreduced(num, xd * wd * den * rest)
+
+
+def _abel_value(series, x, m, ratio):
+    """The exact Abel sum ``ratio`` = _exact_abel(series, x, m), typed by
+    _exact_value: an int only for m = 1, an int x, integer locations and
+    integer weights, where the step value and the integral are ints too.
+    So the type is the one _abel gives of the two, even where the weights
+    up to x are integers and later ones are not."""
+    return _exact_value(series._integer, *ratio, m == 1 and type(x) is int)
 
 
 def _power_node(den, prefix, lo, hi, inner, head, tail, m, ends):

@@ -53,20 +53,35 @@ def _to_float(value):
         return math.inf if value > 0 else -math.inf
 
 
+def _ratio_float(num, den):
+    """num / den for ints, correctly rounded, and infinite past the float
+    range.  Fraction.__float__ is this division, so a ratio renders as its
+    reduced Fraction does, bit for bit."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if (num > 0) == (den > 0) else -math.inf
+
+
 def make_report(identity, x, lhs, rhs, tol, *, k=None, exact=False):
     """Compare two routes and record the outcome.
 
-    In exact mode the comparison is rational equality and the float fields
-    are renderings; a nonzero difference too small for floats is clamped to
-    the smallest positive float so it cannot masquerade as a pass.
+    In exact mode each side is a rational with integer ``numerator`` and
+    ``denominator`` attributes, not necessarily in lowest terms: an int, a
+    Fraction, or an unreduced pair such as the exact set checks compare.
+    The comparison is cross-multiplication, and the float fields are
+    renderings by int true division, the same for a ratio as for its
+    reduced Fraction; a nonzero difference too small for floats is
+    clamped to the smallest positive float so it cannot masquerade as a
+    pass.
     """
     if exact:
-        diff = lhs - rhs
+        ln, ld = int(lhs.numerator), int(lhs.denominator)
+        rn, rd = int(rhs.numerator), int(rhs.denominator)
+        diff = ln * rd - rn * ld
         passed = diff == 0
-        if passed:
-            abs_err = 0.0
-        else:
-            abs_err = max(abs(_to_float(diff)), _TINY)
+        abs_err = 0.0 if passed else max(abs(_ratio_float(diff, ld * rd)), _TINY)
+        lhs, rhs = _ratio_float(ln, ld), _ratio_float(rn, rd)
     else:
         lhs = float(lhs)
         rhs = float(rhs)
@@ -74,16 +89,15 @@ def make_report(identity, x, lhs, rhs, tol, *, k=None, exact=False):
             abs_err = math.nan
         else:
             abs_err = abs(lhs - rhs)
-    rhs_f = _to_float(rhs)
-    rel_err = abs_err / max(abs(rhs_f), 1.0)
+    rel_err = abs_err / max(abs(rhs), 1.0)
     if not exact:
         passed = bool(abs_err <= tol or rel_err <= tol)
     return VerificationReport(
         identity=identity,
         x=_to_float(x),
         k=None if k is None else _to_float(k),
-        lhs=_to_float(lhs),
-        rhs=_to_float(rhs),
+        lhs=lhs,
+        rhs=rhs,
         abs_err=abs_err,
         rel_err=rel_err,
         tol=tol,

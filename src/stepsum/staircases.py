@@ -25,12 +25,14 @@ terms they add: its result is theirs bit for bit.
 
 Preparation is lazy.  Each store covers the primes up to the largest x
 asked of it so far and grows when a query goes past it, so no term above
-x is prepared on behalf of a query at x.  The stores hold no PrimeTable
-oracle result and live exactly as long as the table.  Exact staircases
-are not kept.  Each run of an exact series' running sums is over its own
-lcm, so one could be kept and grown like these stores, but no workload
-asks one table for exact values twice: the benchmark's exact prime
-queries are one-shot CLI calls, each on a new table.
+x is prepared on behalf of a query at x.  A store grows in chunks of
+_CHUNK primes, so the Python ints and floats it makes on the way are
+those of one chunk, not of every prime up to x.  The stores hold no
+PrimeTable oracle result and live exactly as long as the table.  Exact
+staircases are not kept.  Each run of an exact series' running sums is
+over its own lcm, so one could be kept and grown like these stores, but
+no workload asks one table for exact values twice: the benchmark's exact
+prime queries are one-shot CLI calls, each on a new table.
 """
 
 import math
@@ -67,6 +69,11 @@ class _Prepared:
         self.segments = {}
 
 
+# A store grows by at most this many primes at a time, so the Python ints
+# and floats made on the way to its doubles stay few, whatever its length;
+# a running sum carries from chunk to chunk as the store's last double.
+_CHUNK = 2**16
+
 _PREPARED = weakref.WeakKeyDictionary()
 # callers may query one table from several threads; stores only grow, and
 # each query reads only the part of a store that was there when it asked
@@ -85,11 +92,10 @@ def _steps(prepared, primes, kind, cut):
     """``prepared.steps[kind]``, grown to cover the first ``cut`` primes;
     the caller holds _LOCK."""
     steps = prepared.steps.setdefault(kind, array("d", [0.0]))
-    have = len(steps) - 1
-    if cut > have:
-        running = accumulate(
-            map(_WEIGHTS[kind], primes[have:cut].tolist()), initial=steps[-1]
-        )
+    weight = _WEIGHTS[kind]
+    for lo in range(len(steps) - 1, cut, _CHUNK):
+        chunk = primes[lo : min(lo + _CHUNK, cut)].tolist()
+        running = accumulate(map(weight, chunk), initial=steps[-1])
         next(running)
         steps.extend(running)
     return steps
@@ -102,12 +108,10 @@ def _segment_terms(table, kind, kernel, cut):
         prepared = _entry(table)
         steps = _steps(prepared, table.primes, kind, cut)
         terms = prepared.segments.setdefault((kind, kernel), array("d"))
-        have = len(terms)
-        if cut - 1 > have:
-            locs = list(map(float, table.primes[have:cut].tolist()))
-            terms.extend(
-                kernel.segment_terms(steps[have + 1 : cut], locs, locs[1:])
-            )
+        for lo in range(len(terms), cut - 1, _CHUNK):
+            hi = min(lo + _CHUNK, cut - 1)
+            locs = list(map(float, table.primes[lo : hi + 1].tolist()))
+            terms.extend(kernel.segment_terms(steps[lo + 1 : hi + 1], locs, locs[1:]))
         return steps, terms
 
 

@@ -28,10 +28,12 @@ from .errors import (
     ConfigurationError,
     DomainError,
     RangeError,
+    ResourceError,
+    _check_count,
     _float_point,
     _int_text,
 )
-from .jump_series import JumpSeries, _exact_series
+from .jump_series import JumpSeries, _exact_series, _Unreduced
 from .report import IdentityId, error_report, make_report
 
 __all__ = [
@@ -45,17 +47,25 @@ __all__ = [
     "MIN_PAIRWISE_GAP",
     "MAX_SAMPLES",
     "MAX_SET_SIZE",
+    "MAX_EXACT_SET_WORK",
 ]
 
 MIN_PAIRWISE_GAP = 1e-6
-# The most intervals random_intervals draws, and the most `verify
-# --samples` takes (the default is 50).  A sample is one random set or
-# interval drawn and checked, or one point of a grid that numpy allocates
-# whole, so the count bounds both time and memory.
+# The most intervals random_intervals draws, the most trials
+# random_set_sweep takes, and the most `verify --samples` takes (the
+# default is 50).  A sample is one random set or interval drawn and
+# checked, or one point of a grid that numpy allocates whole, so the count
+# bounds both time and memory.
 MAX_SAMPLES = 10**4
 # A draw of n points on (1, 1000) has about n**2 * gap / 999 pairs closer than the
 # gap and is redrawn unless it has none: 0.1 pairs at n = 10**4, 1000 at 10**6.
 MAX_SET_SIZE = 10**4
+# The most max_size * (k + 2) an exact set check takes for an exponent k.
+# The cost of one set with every atom at or below x grows as about the
+# 1.6th power of that product; at the cap (CPU time, Python 3.11, 2 vCPU,
+# no gmpy2) 200 atoms at k = 248 took 1.7 s, and MAX_SET_SIZE atoms at
+# k = 0..3, the exponents `verify` asks for, took 2.6 s.
+MAX_EXACT_SET_WORK = 5 * MAX_SET_SIZE
 
 
 class Route(NamedTuple):
@@ -200,11 +210,7 @@ def random_intervals(seed, count, *, lo=2.0, hi=10**4):
     """Seeded random subintervals [a, b] of [lo, hi], a < b: ``count`` of
     them, an int from 1 to MAX_SAMPLES, for real lo < hi in the float
     range."""
-    if not isinstance(count, int) or not 1 <= count <= MAX_SAMPLES:
-        raise ConfigurationError(
-            f"need an int count of intervals in [1, {MAX_SAMPLES}], "
-            f"got {_int_text(count)}"
-        )
+    _check_count(count, "count of intervals", MAX_SAMPLES)
     finite = (
         isinstance(v, Real) and math.isfinite(_float_point(v, "interval bound"))
         for v in (lo, hi)
@@ -231,6 +237,8 @@ def random_intervals(seed, count, *, lo=2.0, hi=10**4):
 
 
 _GRID = 2**24
+# every drawn atom and evaluation point lies in (1, _TOP)
+_TOP = 1000.0
 
 
 def _draw_set(rng, size):
@@ -242,7 +250,7 @@ def _draw_set(rng, size):
     running-sum denominators and every product built from them).
     """
     while True:
-        qs = sorted(round(rng.uniform(1.0, 1000.0) * _GRID) / _GRID for _ in range(size))
+        qs = sorted(round(rng.uniform(1.0, _TOP) * _GRID) / _GRID for _ in range(size))
         if qs[0] <= 1.0:
             continue
         if all(b - a >= MIN_PAIRWISE_GAP for a, b in zip(qs, qs[1:])):
@@ -258,7 +266,7 @@ def _draw_eval_point(rng, qs):
     if roll < 2 / 3 and len(qs) > 1:
         i = rng.randrange(len(qs) - 1)
         return 0.5 * (qs[i] + qs[i + 1])
-    return rng.uniform(qs[-1], 1000.0)
+    return rng.uniform(qs[-1], _TOP)
 
 
 def _direct_power_sum(ratios, k):
@@ -268,8 +276,8 @@ def _direct_power_sum(ratios, k):
     The oracle side of the set checks: a plain sum over atoms.  For k >= 0
     every term is put over the lcm of the atom denominators; for k < 0 the
     (numerator, denominator) terms are added two at a time, unreduced.
-    Nothing is reduced, not even the sum: _check_one_set compares it with
-    the route's value by cross-multiplication.
+    Nothing is reduced, not even the sum: make_report compares it with
+    the route's unreduced pair by cross-multiplication.
     """
     if k >= 0:
         den = math.lcm(*(d for _, d in ratios))
@@ -294,11 +302,13 @@ def _check_one_set(qs, x, k_set, tol, exact):
 
     Exact mode builds the two staircases from the ints n = q * 2**24
     (_exact_series): h, with weights 1/q = 2**24 / n, and g, with weights
-    q = n / 2**24; no Fraction is made per atom.  The oracle's unreduced
-    sum (_direct_power_sum) is cross-multiplied with the route's value,
-    which is in lowest terms: when they are equal the route's value is
-    the report's right-hand side, and otherwise the oracle's sum, reduced.
-    Either way the report is the one a reduced oracle sum gives.
+    q = n / 2**24; no Fraction is made per atom.  Each route's sum is the
+    unreduced (numerator, denominator) pair of its run tree
+    (identities._exact_abel_over), the oracle's is _direct_power_sum's
+    unreduced pair, and the count's is (count, 1): make_report
+    cross-multiplies them and renders each by int true division, so no
+    result is reduced, and every report is the one the reduced public
+    routes and a reduced oracle sum give.
     """
     count = bisect_right(qs, x)
     included = qs[:count]
@@ -310,33 +320,64 @@ def _check_one_set(qs, x, k_set, tol, exact):
         xq = Fraction(x)
         ratios = [q.as_integer_ratio() for q in included]
 
-        def direct(value, k):
-            num, den = _direct_power_sum(ratios, k)
-            if value.numerator * den == num * value.denominator:
-                return value
-            return Fraction(num, den)
+        def power(k):
+            return identities._exact_abel_over(h, xq, k, k + 1)
+
+        def reciprocal(k):
+            return identities._exact_abel_over(g, xq, -(k + 2), -(k + 1))
+
+        def direct(k):
+            return _Unreduced(*_direct_power_sum(ratios, k))
 
     else:
         xq = x
         h = JumpSeries(qs, [1 / q for q in qs])
         g = JumpSeries(qs, qs)
 
-        def direct(value, k):
+        def power(k):
+            return identities.power_sum_via_abel(h, xq, k)
+
+        def reciprocal(k):
+            return identities.reciprocal_power_sum_via_abel(g, xq, k)
+
+        def direct(k):
             return math.fsum(q**k for q in included)
 
     # the count is the k = 0 power sum, so one integral serves both
-    power = {k: identities.power_sum_via_abel(h, xq, k) for k in {0, *k_set}}
-    reciprocal = {k: identities.reciprocal_power_sum_via_abel(g, xq, k) for k in k_set}
-    checks = [(IdentityId.COUNT, None, power[0], count)]
-    checks += [(IdentityId.POWER_SUM, k, power[k], direct(power[k], k)) for k in k_set]
+    powers = {k: power(k) for k in {0, *k_set}}
+    reciprocals = {k: reciprocal(k) for k in k_set}
+    checks = [(IdentityId.COUNT, None, powers[0], count)]
+    checks += [(IdentityId.POWER_SUM, k, powers[k], direct(k)) for k in k_set]
     checks += [
-        (IdentityId.RECIPROCAL_POWER_SUM, k, reciprocal[k], direct(reciprocal[k], -k))
-        for k in k_set
+        (IdentityId.RECIPROCAL_POWER_SUM, k, reciprocals[k], direct(-k)) for k in k_set
     ]
     return [
         make_report(identity, x, lhs, rhs, tol, k=k, exact=exact)
         for identity, k, lhs, rhs in checks
     ]
+
+
+def _check_set_work(max_size, k, exact):
+    """Refuse an exponent k that a set check cannot take, before any draw.
+
+    In float mode that is every k for which _TOP ** (k + 1), the power
+    sum's boundary term at the top of the draws, overflows (k > 101):
+    DomainError.  In exact mode the cost of one set grows with
+    max_size * (k + 2), the digits of its widest sums; past
+    MAX_EXACT_SET_WORK it is ResourceError.
+    """
+    if not exact:
+        try:
+            _TOP ** (k + 1)
+        except OverflowError:
+            raise DomainError(
+                f"exponent {_int_text(k)} overflows the float power sums"
+            ) from None
+    elif max_size * (k + 2) > MAX_EXACT_SET_WORK:
+        raise ResourceError(
+            f"exact sets of up to {max_size} atoms take exponents up to "
+            f"{MAX_EXACT_SET_WORK // max_size - 2}, got {_int_text(k)}"
+        )
 
 
 def random_set_sweep(
@@ -351,23 +392,24 @@ def random_set_sweep(
 ):
     """Check the three set identities on seeded random finite sets.
 
-    Each trial draws a set of up to ``max_size`` (at most MAX_SET_SIZE)
-    reals in (1, 1000), picks an evaluation point (an atom, a midpoint, or
-    beyond the last atom), and compares every route against brute-force
-    summation: rational equality in exact mode, the given tolerance in
-    float mode.  Reports are ordered by (trial, identity, k) and depend
-    only on the seed.  ``jobs`` is accepted for compatibility; the sweep
-    runs serially.
+    Each of ``trials`` (at most MAX_SAMPLES) trials draws a set of up to
+    ``max_size`` (at most MAX_SET_SIZE) reals in (1, 1000), picks an
+    evaluation point (an atom, a midpoint, or beyond the last atom), and
+    compares every route against brute-force summation: rational equality
+    in exact mode, the given tolerance in float mode.  Reports are ordered
+    by (trial, identity, k) and depend only on the seed.  The counts and
+    the exponents are checked before the first draw (_check_set_work
+    bounds the exponents).  ``jobs`` is accepted for compatibility; the
+    sweep runs serially.
     """
-    if trials < 1:
-        raise ConfigurationError(f"need at least one trial, got {trials}")
-    if not 1 <= max_size <= MAX_SET_SIZE:
-        raise ConfigurationError(f"max_size {max_size} is not in [1, {MAX_SET_SIZE}]")
+    _check_count(trials, "number of trials", MAX_SAMPLES)
+    _check_count(max_size, "max_size", MAX_SET_SIZE)
+    k_set = tuple(k_set)
     for k in k_set:
         if not isinstance(k, int) or k < 0:
-            raise ConfigurationError(f"exponents must be ints >= 0, got {k!r}")
+            raise ConfigurationError(f"exponents must be ints >= 0, got {_int_text(k)}")
+        _check_set_work(max_size, k, exact)
     rng = random.Random(seed)
-    k_set = tuple(k_set)
     reports = []
     for _ in range(trials):
         qs = _draw_set(rng, rng.randint(1, max_size))

@@ -590,7 +590,11 @@ class TestExactAbel:
         got = identities._abel_over(s, x, k, m)
         assert got == want
         assert type(got) is type(want)
-        assert jump_series._exact_abel(s, x, m) == want
+        ratio = jump_series._exact_abel(s, x, m)
+        assert Fraction(*ratio) == want
+        typed = jump_series._abel_value(s, x, m, ratio)
+        assert typed == want
+        assert type(typed) is type(want)
 
     def test_int_only_where_the_terms_are_ints(self):
         """m = 1 over integer locations and weights at an int x is an int,

@@ -316,6 +316,34 @@ BAD_ARGUMENTS = {
         lambda: verify.random_intervals(1, 1, lo=-10**5000)
     ),
     "random_intervals hi='100'": lambda: verify.random_intervals(1, 1, hi="100"),
+    **{
+        f"random_set_sweep trials={label}": (
+            lambda trials=trials: verify.random_set_sweep(1, trials, max_size=1)
+        )
+        for label, trials in [
+            ("None", None), ("'5'", "5"), ("2.5", 2.5), ("nan", math.nan),
+            ("cap + 1", cli.MAX_SAMPLES + 1), ("-10**5000", -10**5000),
+        ]
+    },
+    **{
+        f"random_set_sweep max_size={label}": (
+            lambda size=size: verify.random_set_sweep(1, 1, max_size=size)
+        )
+        for label, size in [("2.5", 2.5), ("None", None), ("-10**5000", -10**5000)]
+    },
+    "random_set_sweep k=-10**5000": (
+        lambda: verify.random_set_sweep(1, 1, k_set=(-10**5000,))
+    ),
+    # 1000.0 ** 103 overflows: the float boundary term at the top of the draws
+    "random_set_sweep float k=102": (
+        lambda: verify.random_set_sweep(1, 1, max_size=1, k_set=(1, 102))
+    ),
+    # one atom at k = 5 * 10**4 is past MAX_EXACT_SET_WORK = 5 * 10**4
+    "random_set_sweep exact k=5*10**4": (
+        lambda: verify.random_set_sweep(
+            1, 1, max_size=1, k_set=(0, 5 * 10**4), exact=True
+        )
+    ),
 }
 
 
@@ -323,8 +351,9 @@ BAD_ARGUMENTS = {
 def test_a_bad_argument_is_refused_with_a_stepsum_error(call):
     """Refused before any loop, with no TypeError, OverflowError or
     ValueError from the check or from a message that renders the
-    argument; MAX_SAMPLES + 1 intervals would draw quickly, so the cap
-    shows as a missing refusal, not as a run without end."""
+    argument; MAX_SAMPLES + 1 intervals, or one-atom sets, would draw
+    quickly, and so would one exact atom past the exponent budget, so a
+    missing cap shows as a missing refusal, not as a run without end."""
     with pytest.raises(StepSumError):
         BAD_ARGUMENTS[call]()
 

@@ -10,7 +10,7 @@ import pytest
 from stepsum import identities, jump_series, verify
 from stepsum.errors import ConfigurationError
 from stepsum.primes import sieve
-from stepsum.report import IdentityId, make_report
+from stepsum.report import IdentityId, VerificationReport, make_report
 from stepsum.verify import (
     MAX_SET_SIZE,
     increment_sweep,
@@ -32,6 +32,76 @@ def table():
 @pytest.fixture(scope="module")
 def table_1e5():
     return sieve(10**5)
+
+
+def _reduced_float(value):
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def reduced_report(identity, x, lhs, rhs, tol, k):
+    """An exact report made from two ints or Fractions in lowest terms,
+    through their reduced difference."""
+    diff = lhs - rhs
+    passed = diff == 0
+    abs_err = 0.0 if passed else max(abs(_reduced_float(diff)), 5e-324)
+    rhs_f = _reduced_float(rhs)
+    return VerificationReport(
+        identity=identity,
+        x=float(x),
+        k=None if k is None else float(k),
+        lhs=_reduced_float(lhs),
+        rhs=rhs_f,
+        abs_err=abs_err,
+        rel_err=abs_err / max(abs(rhs_f), 1.0),
+        tol=tol,
+        passed=passed,
+    )
+
+
+def reduced_set_sweep(seed, trials, *, max_size=200, k_set=(0, 1, 2, 3), tol=1e-10):
+    """random_set_sweep(..., exact=True) made from the public exact
+    routes, which reduce their results, on JumpSeries built from
+    Fractions, against Fraction(*_direct_power_sum(...)); the draws are
+    the sweep's own."""
+    rng = random.Random(seed)
+    reports = []
+    for _ in range(trials):
+        qs = verify._draw_set(rng, rng.randint(1, max_size))
+        x = verify._draw_eval_point(rng, qs)
+        exact = [Fraction(q) for q in qs]
+        h = jump_series.JumpSeries(exact, [1 / q for q in exact])
+        g = jump_series.JumpSeries(exact, exact)
+        xq = Fraction(x)
+        count = sum(q <= x for q in qs)
+        ratios = [q.as_integer_ratio() for q in qs[:count]]
+
+        def direct(k):
+            return Fraction(*verify._direct_power_sum(ratios, k))
+
+        checks = [(IdentityId.COUNT, None, identities.count_via_abel(h, xq), count)]
+        checks += [
+            (
+                IdentityId.POWER_SUM,
+                k,
+                identities.power_sum_via_abel(h, xq, k),
+                direct(k),
+            )
+            for k in k_set
+        ]
+        checks += [
+            (
+                IdentityId.RECIPROCAL_POWER_SUM,
+                k,
+                identities.reciprocal_power_sum_via_abel(g, xq, k),
+                direct(-k),
+            )
+            for k in k_set
+        ]
+        reports += [reduced_report(i, x, lhs, rhs, tol, k) for i, k, lhs, rhs in checks]
+    return reports
 
 
 # -----------------------------------------------------------------------
@@ -193,6 +263,30 @@ class TestRandomSetSweep:
             assert bad.abs_err > 0.0
             assert bad.rhs >= good.rhs
 
+    def test_exact_reports_equal_the_reduced_routes(self):
+        """Every exact report equals the one built from the reduced public
+        routes, the reduced oracle sum and a reduced report: 500 seeds of
+        the default sweep, and 30 sets of up to 1000 atoms at k = 0, 1,
+        5 and 9."""
+        for seed, trials, kwargs in [
+            *((s, 1, {}) for s in range(500)),
+            (99, 30, {"max_size": 1000, "k_set": (0, 1, 5, 9)}),
+        ]:
+            got = random_set_sweep(seed, trials, exact=True, **kwargs)
+            assert got == reduced_set_sweep(seed, trials, **kwargs), seed
+
+    def test_an_exact_set_check_reduces_no_result(self, monkeypatch):
+        """No route result of an exact set check goes through the one
+        helper that types, and so reduces, an exact result."""
+
+        def refused(*args):
+            raise AssertionError("an exact result was reduced")
+
+        monkeypatch.setattr(jump_series, "_exact_value", refused)
+        reports = random_set_sweep(5, 1, exact=True)
+        assert len(reports) == 9
+        assert all(r.passed for r in reports)
+
     def test_validation(self):
         with pytest.raises(ConfigurationError, match="trial"):
             random_set_sweep(1, 0)
@@ -236,6 +330,42 @@ class TestMakeReport:
             assert report.abs_err == math.inf
             assert report.lhs == math.inf
             assert not report.passed
+
+    @pytest.mark.parametrize(
+        "lhs, rhs",
+        [
+            # the _TINY clamp, and the common factor 7 left in
+            ((7 * (10**400 + 1), 7 * 10**400), (1, 1)),
+            ((3, 3), (7 * (10**400 + 1), 7 * 10**400)),
+            # infinite renderings, of either sign
+            ((3 * 10**400, 3), (0, 1)),
+            ((-3 * 10**400, 3), (2, 2)),
+            ((6, 4), (-9 * 10**400, 3)),
+            ((6, -4), (3 * 10**400, -3 * 10**80)),
+            # equal and unequal ratios in and out of lowest terms
+            ((10, 4), (5, 2)),
+            ((3 ** 40 * 11, 3 ** 40 * 13), (22, 26)),
+            ((2**90 + 1, 2**60), (2**90, 2**60)),
+            ((0, 5), (0, 1)),
+        ],
+    )
+    def test_an_unreduced_ratio_reports_as_its_fraction(self, lhs, rhs):
+        """A pair with a Fraction's numerator and denominator, not in
+        lowest terms, gives bit for bit the report of its Fraction."""
+        ratio = jump_series._Unreduced
+        for exact_lhs, exact_rhs in [
+            (ratio(*lhs), ratio(*rhs)),
+            (ratio(*lhs), Fraction(*rhs)),
+            (Fraction(*lhs), ratio(*rhs)),
+        ]:
+            got = make_report(
+                IdentityId.POWER_SUM, 2.5, exact_lhs, exact_rhs, 1e-9, k=3, exact=True
+            )
+            want = reduced_report(
+                IdentityId.POWER_SUM, 2.5, Fraction(*lhs), Fraction(*rhs), 1e-9, 3
+            )
+            # repr tells -0.0 from 0.0 and matches nan with nan
+            assert repr(got) == repr(want)
 
     @pytest.mark.parametrize("lhs, rhs", [(math.nan, 1.0), (1.0, math.nan)])
     def test_nan_float_side_fails(self, lhs, rhs):
