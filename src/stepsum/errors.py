@@ -8,7 +8,8 @@ and PanelBudgetError comes only from the tests' reference quadrature.
 A public route that takes a point refuses a bad one with a StepSumError:
 _check_finite_point and _float_point raise DomainError, and a message
 renders the point with _int_text, at any size.  A sweep refuses a bad
-count of draws the same way, with _check_count's ConfigurationError.
+count of draws the same way, with _check_count's ConfigurationError.  A
+count or an int exponent is an int and not a bool (_is_int).
 """
 
 import decimal
@@ -71,10 +72,16 @@ def _check_finite_point(x, what="evaluation point"):
             raise DomainError(f"{what} must be finite, got {x}")
 
 
+def _is_int(n):
+    """Whether n is an int and not a bool: the one test of every count and
+    int exponent, so that True does not run as 1."""
+    return isinstance(n, int) and not isinstance(n, bool)
+
+
 def _check_count(n, what, cap):
     """Refuse n with ConfigurationError unless it is an int from 1 to
     ``cap``: the count of a loop, checked before the loop starts."""
-    if not isinstance(n, int) or not 1 <= n <= cap:
+    if not _is_int(n) or not 1 <= n <= cap:
         raise ConfigurationError(
             f"need an int {what} in [1, {cap}], got {_int_text(n)}"
         )

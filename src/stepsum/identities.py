@@ -46,7 +46,7 @@ from numbers import Rational, Real
 from operator import add, truediv
 
 from . import staircases
-from .errors import DomainError, ResourceError, _check_finite_point, _int_text
+from .errors import DomainError, ResourceError, _check_finite_point, _int_text, _is_int
 from .jump_series import (
     JumpSeries,
     Kernel,
@@ -117,7 +117,10 @@ def _abel_over(series, x, k, m):
     kernel = Kernel.power(k)
     step = series.value(x)
     integral = integrate_kernel_times_step(series, kernel, series.domain_min, x)
-    return _abel(x, m, step, integral)
+    try:
+        return _abel(x, m, step, integral)
+    except OverflowError:
+        raise DomainError(f"exponent {_int_text(k)} overflows floats") from None
 
 
 def _exact_abel_over(series, x, k, m):
@@ -192,7 +195,7 @@ def _exact_point(x):
 
 def natural_reciprocal_series(n, *, exact=False):
     """The series with atoms (i, 1/i) for i = 1..n."""
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise DomainError(f"need a positive int, got {_int_text(n)}")
     # sorted, distinct, positive and nonzero by construction, so the atoms
     # go straight to the constructor
@@ -224,20 +227,6 @@ def _add_pairs(left, right):
     return num1 * (den2 // g) + num2 * (den1 // g), den1 // g * den2
 
 
-def _segment_sum(n):
-    """Sum of the segment terms (2i+1) / (2i(i+1)) for i = 1..n-1, exactly.
-
-    The identity route's own summation: each term enters as an int pair,
-    adjacent runs merge two at a time over the lcm of their denominators
-    (jump_series._balanced, _add_pairs), and one Fraction is reduced at
-    the end.  No term is regrouped.
-    """
-    if n < 2:
-        return Fraction(0)
-    terms = [(2 * i + 1, 2 * i * (i + 1)) for i in range(1, n)]
-    return Fraction(*_balanced(terms, _add_pairs))
-
-
 def harmonic_via_identity(x, *, exact=False):
     """H(x) from the floor function: a boundary term plus one short integral.
 
@@ -245,17 +234,20 @@ def harmonic_via_identity(x, *, exact=False):
     of (floor(y) + floor(y)**2) / y**3, the integral summed in closed form
     over the unit segments of the floor function.  Float mode streams the
     terms into one math.fsum, so its memory does not grow with x.  Exact
-    mode adds the segment terms pairwise over their lcm (_segment_sum),
-    with its own code, not the oracle's, and refuses x past EXACT_X_CAP.
+    mode puts the same terms into one pairwise sum of int pairs over their
+    lcm (jump_series._balanced, _add_pairs), with its own code, not the
+    oracle's, reduces one Fraction, and refuses x past EXACT_X_CAP.
     """
     _check_at_least(x, 1, "harmonic argument", exact)
     n = math.floor(x)
     if exact:
         xq = _exact_point(x)
-        total = Fraction(n + n * n, 2) / (xq * xq) + _segment_sum(n)
-        if xq > n:
-            total += (n + n * n) * (xq - n) * (xq + n) / (2 * n * n * xq * xq)
-        return total
+        p, q = int(xq.numerator), int(xq.denominator)
+        terms = [((n + n * n) * q * q, 2 * p * p)]
+        terms += [(2 * i + 1, 2 * i * (i + 1)) for i in range(1, n)]
+        if p > n * q:
+            terms.append(((n + n * n) * (p - n * q) * (p + n * q), 2 * n * n * p * p))
+        return Fraction(*_balanced(terms, _add_pairs))
     fx = float(x)
     head = ((n + n * n) / (2.0 * fx * fx),)
     segments = ((2.0 * i + 1.0) / (2.0 * i * (i + 1.0)) for i in range(1, n))
@@ -272,7 +264,7 @@ def iter_harmonic_identity(n_max):
     integer up to n_max costs one new term per step instead of a fresh
     O(n) pass per point.
     """
-    if not isinstance(n_max, int) or n_max < 1:
+    if not _is_int(n_max) or n_max < 1:
         raise DomainError(f"need a positive int, got {_int_text(n_max)}")
     integral = Fraction(0)
     for n in range(1, n_max + 1):
@@ -350,14 +342,7 @@ def _prime_abel(table, kind, x, k, m, exact):
         primes = table.primes_leq(x)
         _check_exact_x(x)
         ps = primes.tolist()
-        ones = [1] * len(ps)
-        # the weight of p, as (numerators, denominators): 1/p, p or 1
-        nums, dens = {
-            "reciprocal": (ones, ps),
-            "prime": (ps, ones),
-            "count": (ones, ones),
-        }[kind]
-        series = _exact_series(1, ps, nums, dens)
+        series = _exact_series(1, ps, *staircases._WEIGHT_COLUMNS[kind](ps))
         return _abel_over(series, _exact_point(x), k, m)
     step = staircases.step(table, kind, x)
     fx = float(x)

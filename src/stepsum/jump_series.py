@@ -45,7 +45,13 @@ from operator import floordiv, mul, ne, sub, truediv
 from numbers import Integral, Rational, Real
 from typing import NamedTuple
 
-from .errors import DomainError, _check_finite_point, _float_point, _int_text
+from .errors import (
+    DomainError,
+    ResourceError,
+    _check_finite_point,
+    _float_point,
+    _int_text,
+)
 
 __all__ = [
     "Kernel",
@@ -126,7 +132,7 @@ class _Power(Kernel):
     kernels are equal when their exponents are."""
 
     def __init__(self, exponent):
-        self.tag = f"y**{exponent}"
+        self.tag = f"y**{_int_text(exponent)}"
         self.exponent = exponent
         self.integer_exponent = ki = _integer_exponent(exponent)
         # the antiderivative is y**m / m, or log y for m = 0
@@ -175,17 +181,37 @@ def _rational_pow(base, exponent):
     """base ** exponent, keeping integer bases rational under negative powers.
 
     Plain Python would hand back a float for e.g. 3 ** -2; widening to
-    Fraction first preserves exactness for rational pipelines.
+    Fraction first preserves exactness for rational pipelines.  A rational
+    power past the work budget is refused (_check_power_work).
     """
-    if type(exponent) is int:
-        ki = exponent
-    else:
-        ki = _integer_exponent(exponent)
-        if ki is None:
-            return base ** exponent
+    ki = _integer_exponent(exponent)
+    if ki is None:
+        return base ** exponent
+    if isinstance(base, Rational):
+        bits = int(base.numerator).bit_length() + int(base.denominator).bit_length()
+        _check_power_work(ki, 1, bits)
     if ki < 0 and isinstance(base, Integral):
         return Fraction(int(base)) ** ki
     return base ** ki
+
+
+# The most |m| * points * bits an exact power takes, for the m-th powers of
+# ``points`` rationals of ``bits`` bits (_check_power_work): about the
+# digits of the widest sum of a run tree.  At the cap (CPU time, Python
+# 3.11, 2 vCPU) reciprocal_power_sum_via_abel, the costliest, took 4.5 to
+# 7.2 s, mostly its one Fraction reduction; verify's set checks stay under
+# 3.3 * 10**6.
+_MAX_POWER_WORK = 2**22
+
+
+def _check_power_work(m, points, bits):
+    """Refuse with ResourceError, before any loop, m-th powers of
+    ``points`` rationals of ``bits`` bits past _MAX_POWER_WORK."""
+    if abs(m) * points * bits > _MAX_POWER_WORK:
+        raise ResourceError(
+            f"exact powers of exponent {_int_text(m)} over {points} points of "
+            f"{bits} bits exceed the work budget of {_MAX_POWER_WORK} bits"
+        )
 
 
 def _power_diffs(lefts, rights, m):
@@ -543,12 +569,12 @@ def integrate_kernel_times_step(series, kernel, a, b):
     segments of the F-value times the kernel's antiderivative difference.
     Power kernels with an integral exponent other than -1 keep rational
     data rational, over an empty range (a == b) too: the segments are
-    summed in Python ints (see _exact_power_integral) and the result is a
+    summed in Python ints in one run tree (_run_tree), and the result is a
     Fraction, or an int for k = 0 when the weights, the locations and the
-    bounds are integers.  Otherwise each F-value, accumulated from one
-    exact step value if the series is exact, is rounded once to a float
-    (_float_steps), and the segment terms (Kernel.segment_terms) are
-    added in one correctly rounded sum.
+    bounds are integers (_exact_value).  Otherwise each F-value,
+    accumulated from one exact step value if the series is exact, is
+    rounded once to a float (_float_steps), and the segment terms
+    (Kernel.segment_terms) are added in one correctly rounded sum.
     """
     _check_finite_point(a)
     _check_finite_point(b)
@@ -560,7 +586,11 @@ def integrate_kernel_times_step(series, kernel, a, b):
         and isinstance(b, Rational)
         and ki not in (None, -1)
     ):
-        return _exact_power_integral(series, ki + 1, a, b)
+        m = ki + 1
+        form = series._integer
+        root, rest, scale, *_ = _run_tree(form, m, a, b)
+        _, den, s = root[:3]
+        return _exact_value(form, s * scale, den * rest * m, m == 1)
     if a == b or len(series) == 0:
         return 0.0
 
@@ -582,7 +612,10 @@ def integrate_kernel_times_step(series, kernel, a, b):
     if not all(map(ne, lefts, rights)):
         wide = list(map(ne, lefts, rights))
         values, lefts, rights = _select(wide, values, lefts, rights)
-    return math.fsum(kernel.segment_terms(values, lefts, rights))
+    try:
+        return math.fsum(kernel.segment_terms(values, lefts, rights))
+    except OverflowError:
+        raise DomainError(f"kernel {kernel.tag} overflows the float range") from None
 
 
 def _select(keep, *columns):
@@ -676,6 +709,9 @@ def _run_tree(form, m, a, b):
     # the scaled locations are ints: compare them with floor(a), ceil(b)
     i0 = bisect_right(locs, an // ad)
     i1 = max(bisect_left(locs, -(-bn // bd)), i0)
+    # every point below is raised to the m-th power: the jumps inside, a, b
+    bits = bn.bit_length() + ad.bit_length() + bd.bit_length()
+    _check_power_work(m, i1 - i0 + 2, bits)
     if m > 0:
         # y**m = (n/d)**m / loc_den**m for a scaled point n/d: over
         # (ad * bd * loc_den)**m, every point is an int
@@ -718,16 +754,6 @@ def _exact_value(form, num, den, whole):
     if whole and form.integral and den == 1:
         return num
     return Fraction(num, den)
-
-
-def _exact_power_integral(series, m, a, b):
-    """Integral of y**(m-1) * F(y) over [a, b] (a <= b, m != 0), exactly,
-    from the run tree (_run_tree), typed by _exact_value: an int only for
-    m = 1 when every weight, location and bound is an integer."""
-    form = series._integer
-    root, rest, scale, *_ = _run_tree(form, m, a, b)
-    _, den, s = root[:3]
-    return _exact_value(form, s * scale, den * rest * m, m == 1)
 
 
 def _exact_abel(series, x, m):
@@ -778,11 +804,7 @@ def _power_node(den, prefix, lo, hi, inner, head, tail, m, ends):
     is q**m * ad**m * bd**m.
     """
     a_point, b_point, c = ends
-    pw = [q**m * c for q in inner]
-    if head:
-        pw.insert(0, a_point)
-    if tail:
-        pw.append(b_point)
+    pw = [a_point] * head + [q**m * c for q in inner] + [b_point] * tail
     s = sum(v * (r - l) for v, l, r in zip(prefix[lo : hi + 1], pw, pw[1:]))
     return prefix[hi], den, s, 1, 1, pw[0], pw[-1]
 
@@ -793,11 +815,7 @@ def _reciprocal_node(den, prefix, lo, hi, inner, head, tail, m, ends):
     loc_den**-m = top / bottom, ``ends`` holds a's and b's, and the
     segment terms merge pairwise (_join_stretches)."""
     j = -m
-    pw = [(1, q**j) for q in inner]
-    if head:
-        pw.insert(0, ends[0])
-    if tail:
-        pw.append(ends[1])
+    pw = [ends[0]] * head + [(1, q**j) for q in inner] + [ends[1]] * tail
     num, l, f = _balanced(
         [
             (v * (rt * lb - lt * rb), lb, rb)

@@ -25,6 +25,7 @@ from .errors import (
     ResourceError,
     _check_finite_point,
     _int_text,
+    _is_int,
 )
 
 __all__ = ["PrimeTable", "sieve", "DEFAULT_LIMIT_CAP", "EXACT_X_CAP"]
@@ -76,7 +77,7 @@ def sieve(limit):
     limit/2 bytes; DEFAULT_LIMIT_CAP bounds that allocation, and asking
     for more raises ResourceError rather than attempting it.
     """
-    if not isinstance(limit, int) or isinstance(limit, bool):
+    if not _is_int(limit):
         raise DomainError(f"sieve limit must be an int, got {limit!r}")
     if limit < 2:
         raise DomainError(f"sieve limit must be at least 2, got {_int_text(limit)}")
@@ -150,7 +151,7 @@ class PrimeTable:
 
     def prime_power_sum(self, x, k):
         """Sum of p**k over primes p <= x, as an exact int (0 <= k <= 4)."""
-        if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k <= 4:
+        if not _is_int(k) or not 0 <= k <= 4:
             raise DomainError(
                 f"power sum exponent must be an int in [0, 4], got {_int_text(k)}"
             )

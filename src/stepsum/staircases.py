@@ -1,10 +1,11 @@
 """Float prime staircases, prepared once per PrimeTable as prefix sums.
 
 A float prime staircase F is a step function with a jump of weight w(p)
-at every prime p of a table; its kind names the weight (_WEIGHTS):
-"reciprocal" 1/p, "prime" p and "count" 1 for the identities' Abel
-routes (stepsum.identities), "log_weight" log(p)/p for the analytic
-routes (stepsum.analytic).  No route needs the staircase itself, only
+at every prime p of a table; its kind names the weight
+(_WEIGHT_COLUMNS): "reciprocal" 1/p, "prime" p and "count" 1 for the
+identities' Abel routes (stepsum.identities), whose exact staircases take
+the same int columns, "log_weight" log(p)/p for the analytic routes
+(stepsum.analytic).  No route needs the staircase itself, only
 sums of terms that depend on the table, the kind and a kernel alone, so
 those terms are prepared instead, one array('d') per store:
 
@@ -41,61 +42,45 @@ import weakref
 from array import array
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain
+from operator import truediv
 
 __all__ = ["rise_and_integral", "step", "step_integral"]
 
 
-# kind -> the float weight of the prime p
-_WEIGHTS = {
-    "reciprocal": lambda p: 1.0 / p,
-    "prime": float,
-    "count": lambda p: 1.0,
-    "log_weight": lambda p: math.log(p) / p,
+# kind -> the weights w(p) of a list of primes, as two columns (numerators,
+# denominators): 1/p, p and 1 as ints, which the exact staircases take as
+# they are (stepsum.identities), and log(p)/p with float numerators, the
+# one kind with no exact staircase.  A float store divides the columns
+# (truediv); for p < 2**53 that is 1.0 / p, float(p) and 1.0, bit for bit.
+_WEIGHT_COLUMNS = {
+    "reciprocal": lambda ps: ([1] * len(ps), ps),
+    "prime": lambda ps: (ps, [1] * len(ps)),
+    "count": lambda ps: ([1] * len(ps),) * 2,
+    "log_weight": lambda ps: (map(math.log, ps), ps),
 }
-
-
-class _Prepared:
-    """One table's prepared terms, each store a prefix over its primes.
-
-    Per kind asked for so far, the ``steps``: F after no prime and then
-    after each prime; per (kind, kernel) asked for so far, the
-    ``segments``: term k over [p_k, p_(k+1)].
-    """
-
-    __slots__ = ("steps", "segments")
-
-    def __init__(self):
-        self.steps = {}
-        self.segments = {}
-
 
 # A store grows by at most this many primes at a time, so the Python ints
 # and floats made on the way to its doubles stay few, whatever its length;
 # a running sum carries from chunk to chunk as the store's last double.
 _CHUNK = 2**16
 
+# table -> its stores, each an array('d') that is a prefix over its primes:
+# under a kind, the step values F after no prime and then after each prime;
+# under (kind, kernel), segment term k over [p_k, p_(k+1)]
 _PREPARED = weakref.WeakKeyDictionary()
 # callers may query one table from several threads; stores only grow, and
 # each query reads only the part of a store that was there when it asked
 _LOCK = threading.Lock()
 
 
-def _entry(table):
-    """The table's _Prepared entry; the caller holds _LOCK."""
-    prepared = _PREPARED.get(table)
-    if prepared is None:
-        prepared = _PREPARED[table] = _Prepared()
-    return prepared
-
-
-def _steps(prepared, primes, kind, cut):
-    """``prepared.steps[kind]``, grown to cover the first ``cut`` primes;
-    the caller holds _LOCK."""
-    steps = prepared.steps.setdefault(kind, array("d", [0.0]))
-    weight = _WEIGHTS[kind]
+def _steps(stores, primes, kind, cut):
+    """``stores[kind]``, grown to cover the first ``cut`` primes; the
+    caller holds _LOCK."""
+    steps = stores.setdefault(kind, array("d", [0.0]))
     for lo in range(len(steps) - 1, cut, _CHUNK):
         chunk = primes[lo : min(lo + _CHUNK, cut)].tolist()
-        running = accumulate(map(weight, chunk), initial=steps[-1])
+        weights = map(truediv, *_WEIGHT_COLUMNS[kind](chunk))
+        running = accumulate(weights, initial=steps[-1])
         next(running)
         steps.extend(running)
     return steps
@@ -105,9 +90,9 @@ def _segment_terms(table, kind, kernel, cut):
     """The table's step values of ``kind`` and its segment terms of
     ``kind`` and ``kernel``, covering its first ``cut`` primes."""
     with _LOCK:
-        prepared = _entry(table)
-        steps = _steps(prepared, table.primes, kind, cut)
-        terms = prepared.segments.setdefault((kind, kernel), array("d"))
+        stores = _PREPARED.setdefault(table, {})
+        steps = _steps(stores, table.primes, kind, cut)
+        terms = stores.setdefault((kind, kernel), array("d"))
         for lo in range(len(terms), cut - 1, _CHUNK):
             hi = min(lo + _CHUNK, cut - 1)
             locs = list(map(float, table.primes[lo : hi + 1].tolist()))
@@ -121,7 +106,7 @@ def step(table, kind, x):
     range-checked as by PrimeTable.pi."""
     cut = table.pi(x)
     with _LOCK:
-        return _steps(_entry(table), table.primes, kind, cut)[cut]
+        return _steps(_PREPARED.setdefault(table, {}), table.primes, kind, cut)[cut]
 
 
 def _integral(table, kind, kernel, a, b):

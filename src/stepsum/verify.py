@@ -32,6 +32,7 @@ from .errors import (
     _check_count,
     _float_point,
     _int_text,
+    _is_int,
 )
 from .jump_series import JumpSeries, _exact_series, _Unreduced
 from .report import IdentityId, error_report, make_report
@@ -406,7 +407,7 @@ def random_set_sweep(
     _check_count(max_size, "max_size", MAX_SET_SIZE)
     k_set = tuple(k_set)
     for k in k_set:
-        if not isinstance(k, int) or k < 0:
+        if not _is_int(k) or k < 0:
             raise ConfigurationError(f"exponents must be ints >= 0, got {_int_text(k)}")
         _check_set_work(max_size, k, exact)
     rng = random.Random(seed)

@@ -126,10 +126,10 @@ def test_identity_routes_rest_on_their_integrals_not_their_oracles(monkeypatch):
     to find the primes up to x.  Then each route's integral machinery is
     perturbed: the power kernels' segment integrals (_power_diffs) and the
     log kernels' segment terms scaled by 1 + 2**-20, and 1 added to the
-    sum of the exact run tree's root and to the exact harmonic segment
-    sum; every result moves, the li route's among them.  The float
-    harmonic route sums its unit segments in closed form inside
-    harmonic_via_identity, so it is only poisoned.  Last, with the oracles
+    sum of the exact run tree's root and to the numerator of each pairwise
+    sum of the exact harmonic terms; every result moves, the li route's
+    among them.  The float harmonic route sums its unit segments in closed
+    form inside harmonic_via_identity, so it is only poisoned.  Last, with the oracles
     back, the same scaling moves the increment check's identity side,
     which rests on the Mertens route's segment terms.
     """
@@ -178,7 +178,7 @@ def test_identity_routes_rest_on_their_integrals_not_their_oracles(monkeypatch):
     power_diffs = jump_series._power_diffs
     segment_terms = Kernel.segment_terms
     run_tree = jump_series._run_tree
-    segment_sum = identities._segment_sum
+    add_pairs = identities._add_pairs
 
     def shifted_run_tree(*args):
         root, *rest = run_tree(*args)
@@ -192,7 +192,11 @@ def test_identity_routes_rest_on_their_integrals_not_their_oracles(monkeypatch):
             Kernel, "segment_terms", lambda *a: _scaled(segment_terms(*a))
         )
         perturbed.setattr(jump_series, "_run_tree", shifted_run_tree)
-        perturbed.setattr(identities, "_segment_sum", lambda n: segment_sum(n) + 1)
+        perturbed.setattr(
+            identities,
+            "_add_pairs",
+            lambda *a: (add_pairs(*a)[0] + 1, add_pairs(*a)[1]),
+        )
         moved = results()
     for key, value in base.items():
         if key[:3] == ("harmonic", "identity", False):
@@ -294,7 +298,8 @@ def test_every_public_route_refuses_a_bad_point_with_a_stepsum_error(route, exac
 
 
 # Arguments other than points that a public function refuses: ints past
-# the interpreter's str() limit, and random_intervals' count and bounds
+# the interpreter's str() limit, bools, random_intervals' count and bounds,
+# and exponents
 BAD_ARGUMENTS = {
     "natural_reciprocal_series": (
         lambda: identities.natural_reciprocal_series(-10**5000)
@@ -343,6 +348,51 @@ BAD_ARGUMENTS = {
         lambda: verify.random_set_sweep(
             1, 1, max_size=1, k_set=(0, 5 * 10**4), exact=True
         )
+    ),
+    # a bool is not a count or an exponent
+    "random_set_sweep trials=True": lambda: verify.random_set_sweep(1, True),
+    "random_set_sweep max_size=True": (
+        lambda: verify.random_set_sweep(1, 1, max_size=True)
+    ),
+    "random_set_sweep k=True": lambda: verify.random_set_sweep(1, 1, k_set=(True,)),
+    "random_intervals count=True": lambda: verify.random_intervals(1, True),
+    "natural_reciprocal_series True": (
+        lambda: identities.natural_reciprocal_series(True)
+    ),
+    "iter_harmonic_identity True": (
+        lambda: next(identities.iter_harmonic_identity(True))
+    ),
+    # exponents: a kernel tag with more digits than str() renders, float
+    # powers past the float range, and exact powers past the work budget
+    # (jump_series._MAX_POWER_WORK), each refused before its loop
+    "Kernel.power(-10**5000) interval": (
+        lambda: Kernel.power(-10**5000).check_interval(0, 1)
+    ),
+    "power_sum_via_abel exact k=-10**5000": (
+        lambda: identities.power_sum_via_abel(_H[True], 5, -10**5000)
+    ),
+    "power_sum_via_abel exact k=10**6": (
+        lambda: identities.power_sum_via_abel(_H[True], 5, 10**6)
+    ),
+    "integrate_kernel_times_step exact y**10**6": (
+        lambda: jump_series.integrate_kernel_times_step(
+            _H[True], Kernel.power(10**6), 2, 5
+        )
+    ),
+    "power_sum_via_abel float k=2000": (
+        lambda: identities.power_sum_via_abel(_H[False], 5.0, 2000)
+    ),
+    "power_sum_via_abel float k=2000 at the first jump": (
+        lambda: identities.power_sum_via_abel(_H[False], 2.0, 2000)
+    ),
+    "power_sum_via_abel float k=-2000 from 0.5": (
+        lambda: identities.power_sum_via_abel(
+            JumpSeries([0.5, 3.0], [2.0, 1 / 3]), 5.0, -2000
+        )
+    ),
+    # the boundary term 5**-(10**7 - 1) of an int x, before its float
+    "power_sum_via_abel float k=-10**7 at an int x": (
+        lambda: identities.power_sum_via_abel(_H[False], 5, -10**7)
     ),
 }
 

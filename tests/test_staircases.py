@@ -188,23 +188,25 @@ class TestPreparedSlices:
         prepared = staircases._PREPARED[table]
         # the steps hold F before the first prime too; the segments run
         # between consecutive primes
-        assert len(prepared.steps["reciprocal"]) == 5
-        assert len(prepared.segments["reciprocal", Kernel.power(0)]) == 3
+        assert len(prepared["reciprocal"]) == 5
+        assert len(prepared["reciprocal", Kernel.power(0)]) == 3
         analytic.check_reciprocal_sum_increment(table, 20.0, 30.5)
-        assert len(prepared.steps["log_weight"]) == 11
-        assert len(prepared.segments["log_weight", INV_Y_LOG_SQ]) == 9
+        assert len(prepared["log_weight"]) == 11
+        assert len(prepared["log_weight", INV_Y_LOG_SQ]) == 9
         analytic.prime_count_via_li(table, 100.5)
-        assert len(prepared.steps["log_weight"]) == 26
-        assert len(prepared.segments["log_weight", INV_LOG_MINUS_SQ]) == 24
+        assert len(prepared["log_weight"]) == 26
+        assert len(prepared["log_weight", INV_LOG_MINUS_SQ]) == 24
         analytic.prime_reciprocal_sum_via_mertens(table, 30.0)
         analytic.mertens_remainder(table, 20.0)
         identities.prime_count_via_identity(table, 30.0)
-        assert len(prepared.steps["reciprocal"]) == 11
-        assert len(prepared.segments["reciprocal", Kernel.power(0)]) == 9
-        assert len(prepared.segments["log_weight", INV_Y_LOG_SQ]) == 9
-        assert len(prepared.steps["log_weight"]) == 26
-        assert sorted(prepared.steps) == ["log_weight", "reciprocal"]
-        assert len(prepared.segments) == 3
+        assert len(prepared["reciprocal"]) == 11
+        assert len(prepared["reciprocal", Kernel.power(0)]) == 9
+        assert len(prepared["log_weight", INV_Y_LOG_SQ]) == 9
+        assert len(prepared["log_weight"]) == 26
+        # step stores are keyed by kind, segment stores by (kind, kernel)
+        steps = sorted(key for key in prepared if isinstance(key, str))
+        assert steps == ["log_weight", "reciprocal"]
+        assert sum(isinstance(key, tuple) for key in prepared) == 3
 
     def test_prepared_data_die_with_the_table(self):
         table = sieve(1000)
@@ -236,7 +238,7 @@ class TestPreparedSlices:
             tracemalloc.stop()
         prepared = staircases._PREPARED[table]
         n = len(table.primes)
-        stores = [*prepared.steps.values(), *prepared.segments.values()]
+        stores = list(prepared.values())
         # steps of 4 kinds and 6 segment stores
         assert len(stores) == 10
         assert all(n - 1 <= len(store) <= n + 1 for store in stores)
@@ -262,8 +264,8 @@ class TestPreparedSlices:
         for kind, kernel in STEP_INTEGRALS:
             steps = array("d", accumulate(map(WEIGHT[kind], ps), initial=0.0))
             terms = array("d", kernel.segment_terms(steps[1:-1], locs, locs[1:]))
-            assert prepared.steps[kind].tobytes() == steps.tobytes()
-            assert prepared.segments[kind, kernel].tobytes() == terms.tobytes()
+            assert prepared[kind].tobytes() == steps.tobytes()
+            assert prepared[kind, kernel].tobytes() == terms.tobytes()
 
     def test_growing_a_store_holds_one_chunk(self, monkeypatch):
         """Growing the stores of one query over all 78498 primes of
