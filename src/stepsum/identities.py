@@ -96,8 +96,11 @@ def _abel(x, m, step, integral):
     """x**m * F(x) - m * integral of y**(m-1) * F(y) from the first jump to x,
     from ``step`` = F(x) and ``integral``.
 
-    The one Abel-summation step every set and prime route takes.
+    The one Abel-summation step every set and prime route takes.  A float
+    sum whose x**m is past 2**1025 overflows before x**m is taken exactly.
     """
+    if isinstance(step, float) and isinstance(x, Rational) and m * math.log2(x) > 1025:
+        raise OverflowError
     return _rational_pow(x, m) * step - m * integral
 
 

@@ -168,11 +168,7 @@ class _Power(Kernel):
 
 
 def _integer_exponent(k):
-    if type(k) is int:
-        return k
-    if isinstance(k, Integral):
-        return int(k)
-    if isinstance(k, Rational) and k.denominator == 1:
+    if isinstance(k, Integral) or isinstance(k, Rational) and k.denominator == 1:
         return int(k)
     return None
 
@@ -199,8 +195,8 @@ def _rational_pow(base, exponent):
 # ``points`` rationals of ``bits`` bits (_check_power_work): about the
 # digits of the widest sum of a run tree.  At the cap (CPU time, Python
 # 3.11, 2 vCPU) reciprocal_power_sum_via_abel, the costliest, took 4.5 to
-# 7.2 s, mostly its one Fraction reduction; verify's set checks stay under
-# 3.3 * 10**6.
+# 7.2 s, mostly its one Fraction reduction.  verify.MAX_EXACT_SET_WORK is
+# derived from it, so no exact set check is refused after its draws.
 _MAX_POWER_WORK = 2**22
 
 
@@ -615,7 +611,7 @@ def integrate_kernel_times_step(series, kernel, a, b):
     try:
         return math.fsum(kernel.segment_terms(values, lefts, rights))
     except OverflowError:
-        raise DomainError(f"kernel {kernel.tag} overflows the float range") from None
+        raise DomainError(f"the integral of {kernel.tag} overflows floats") from None
 
 
 def _select(keep, *columns):

@@ -34,7 +34,7 @@ from .errors import (
     _int_text,
     _is_int,
 )
-from .jump_series import JumpSeries, _exact_series, _Unreduced
+from .jump_series import _MAX_POWER_WORK, JumpSeries, _exact_series, _Unreduced
 from .report import IdentityId, error_report, make_report
 
 __all__ = [
@@ -61,12 +61,13 @@ MAX_SAMPLES = 10**4
 # A draw of n points on (1, 1000) has about n**2 * gap / 999 pairs closer than the
 # gap and is redrawn unless it has none: 0.1 pairs at n = 10**4, 1000 at 10**6.
 MAX_SET_SIZE = 10**4
-# The most max_size * (k + 2) an exact set check takes for an exponent k.
-# The cost of one set with every atom at or below x grows as about the
-# 1.6th power of that product; at the cap (CPU time, Python 3.11, 2 vCPU,
-# no gmpy2) 200 atoms at k = 248 took 1.7 s, and MAX_SET_SIZE atoms at
-# k = 0..3, the exponents `verify` asks for, took 2.6 s.
-MAX_EXACT_SET_WORK = 5 * MAX_SET_SIZE
+# The most (k + 1) * (max_size + 1) an exact set check takes for an
+# exponent k: its run trees raise up to max_size + 1 points (the atoms from
+# the first to x, and x) to the (k + 1)-th power, each of at most 83 bits in
+# _run_tree's count (x a raw float in [1, 2)), within jump_series._MAX_POWER_WORK.
+# At the cap (CPU time, Python 3.11, 2 vCPU, no gmpy2) one set at the worst
+# x took about 1 s at 1 to 200 atoms and 1.8 s at MAX_SET_SIZE atoms.
+MAX_EXACT_SET_WORK = _MAX_POWER_WORK // 83
 
 
 class Route(NamedTuple):
@@ -363,9 +364,9 @@ def _check_set_work(max_size, k, exact):
 
     In float mode that is every k for which _TOP ** (k + 1), the power
     sum's boundary term at the top of the draws, overflows (k > 101):
-    DomainError.  In exact mode the cost of one set grows with
-    max_size * (k + 2), the digits of its widest sums; past
-    MAX_EXACT_SET_WORK it is ResourceError.
+    DomainError.  In exact mode it is every k for which some draw would
+    pass the run trees' work budget: (k + 1) * (max_size + 1) past
+    MAX_EXACT_SET_WORK, ResourceError.
     """
     if not exact:
         try:
@@ -374,10 +375,10 @@ def _check_set_work(max_size, k, exact):
             raise DomainError(
                 f"exponent {_int_text(k)} overflows the float power sums"
             ) from None
-    elif max_size * (k + 2) > MAX_EXACT_SET_WORK:
+    elif (k + 1) * (max_size + 1) > MAX_EXACT_SET_WORK:
         raise ResourceError(
             f"exact sets of up to {max_size} atoms take exponents up to "
-            f"{MAX_EXACT_SET_WORK // max_size - 2}, got {_int_text(k)}"
+            f"{MAX_EXACT_SET_WORK // (max_size + 1) - 1}, got {_int_text(k)}"
         )
 
 

@@ -17,7 +17,7 @@ import pytest
 
 import stepsum
 from stepsum import analytic, cli, identities, jump_series, verify
-from stepsum.errors import StepSumError
+from stepsum.errors import DomainError, StepSumError
 from stepsum.jump_series import INV_LOG, JumpSeries, Kernel
 from stepsum.primes import PrimeTable, sieve
 from stepsum.report import IdentityId
@@ -343,7 +343,7 @@ BAD_ARGUMENTS = {
     "random_set_sweep float k=102": (
         lambda: verify.random_set_sweep(1, 1, max_size=1, k_set=(1, 102))
     ),
-    # one atom at k = 5 * 10**4 is past MAX_EXACT_SET_WORK = 5 * 10**4
+    # one atom at k = 5 * 10**4: (k + 1) * 2 is past MAX_EXACT_SET_WORK
     "random_set_sweep exact k=5*10**4": (
         lambda: verify.random_set_sweep(
             1, 1, max_size=1, k_set=(0, 5 * 10**4), exact=True
@@ -395,6 +395,15 @@ BAD_ARGUMENTS = {
         lambda: identities.power_sum_via_abel(_H[False], 5, -10**7)
     ),
 }
+
+
+@pytest.mark.parametrize("x", [2, Fraction(2), 2.0])
+def test_a_float_power_past_the_float_range_is_a_domain_error_at_any_x(x):
+    """A float sum whose boundary power x**m overflows is refused with
+    DomainError whatever the type of x: an int or Fraction x is not raised
+    to the power exactly first, which would pass the exact work budget."""
+    with pytest.raises(DomainError, match="overflows floats"):
+        identities.power_sum_via_abel(_H[False], x, 2 * 10**6)
 
 
 @pytest.mark.parametrize("call", BAD_ARGUMENTS)

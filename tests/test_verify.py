@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from stepsum import identities, jump_series, verify
-from stepsum.errors import ConfigurationError
+from stepsum.errors import ConfigurationError, ResourceError
 from stepsum.primes import sieve
 from stepsum.report import IdentityId, VerificationReport, make_report
 from stepsum.verify import (
@@ -308,6 +308,27 @@ class TestRandomSetSweep:
         reports = random_set_sweep(1, 1, max_size=MAX_SET_SIZE, k_set=(0, 1))
         assert time.perf_counter() - start < 5.0
         assert all(r.passed for r in reports)
+
+    @pytest.mark.parametrize("max_size", [1, 8])
+    def test_exact_exponent_cap_covers_every_draw(self, max_size, monkeypatch):
+        """The exact exponent cap is derived from the run trees' work
+        budget for the worst draw: at the largest k it accepts, max_size
+        atoms checked at an 83-bit evaluation point (a raw float in [1, 2))
+        pass, and the next k, like k = 49998 for one atom, is refused
+        before any draw, not by the run tree after it."""
+        k = verify.MAX_EXACT_SET_WORK // (max_size + 1) - 1
+        qs = [1 + i * 2**-20 + 2**-24 for i in range(max_size)]
+        x = qs[-1] + 2**-30 + 2**-52
+        reports = verify._check_one_set(qs, x, (k,), 1e-10, True)
+        assert len(reports) == 3 and all(r.passed for r in reports)
+
+        def no_draw(*args):
+            raise AssertionError("drew a set for a refused exponent")
+
+        monkeypatch.setattr(verify, "_draw_set", no_draw)
+        for refused in (k + 1, 49998):
+            with pytest.raises(ResourceError, match="exponents up to"):
+                random_set_sweep(1, 1, max_size=max_size, k_set=(refused,), exact=True)
 
 
 # -----------------------------------------------------------------------
