@@ -10,7 +10,12 @@ long prime listing) as "sha256:" and its digest.  What is left out:
   `x` column does not hold from one machine to the next;
 * a `bench` keeps its exit code and its result column: the timings vary.
 
-tests/test_golden.py replays every entry.  A change that alters an output
+Beside the corpus, set_checks.json holds the sha256 of the repr of
+random_set_sweep(seed, 1, exact=...) for each seed below SET_SEEDS, in
+float and in exact mode: the set reports, exact ones included, which no
+argv reaches (`verify --identity count` runs in floats only).
+
+tests/test_golden.py replays every entry and every sweep.  A change that alters an output
 reruns this script and names the changed rows:
 
     PYTHONPATH=src python tests/golden/regenerate.py
@@ -28,7 +33,9 @@ from stepsum import cli, verify
 from stepsum.report import IdentityId
 
 CORPUS = Path(__file__).resolve().parent / "corpus.json"
+SET_CHECKS = CORPUS.with_name("set_checks.json")
 SHORT = 2048
+SET_SEEDS = 200
 
 COMPUTE_X = ["2", "3.5", "10", "97", "1000.5", "4096.25", "19999", "29999.5"]
 VERIFY_XMAX = ["150", "3000"]
@@ -111,10 +118,23 @@ def record(argv):
     return entry
 
 
+def set_check_digests(exact):
+    """The sha256 of repr(random_set_sweep(seed, 1, exact=exact)), one per
+    seed below SET_SEEDS."""
+    return [
+        hashlib.sha256(repr(verify.random_set_sweep(seed, 1, exact=exact)).encode())
+        .hexdigest()
+        for seed in range(SET_SEEDS)
+    ]
+
+
 def main():
     corpus = [record(argv) for argv in argvs()]
     CORPUS.write_text(json.dumps(corpus, indent=1) + "\n")
     print(f"{len(corpus)} entries -> {CORPUS}", file=sys.stderr)
+    digests = {mode: set_check_digests(mode == "exact") for mode in ("float", "exact")}
+    SET_CHECKS.write_text(json.dumps(digests, indent=1) + "\n")
+    print(f"{SET_SEEDS} seeds in each mode -> {SET_CHECKS}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
-"""Every output of the golden corpus (tests/golden), replayed in-process."""
+"""Every output of the golden corpus (tests/golden), replayed in-process, and
+the digests of the random set sweeps beside it."""
 
 import importlib.util
 import json
@@ -20,6 +21,7 @@ def _load_recorder():
 
 recorder = _load_recorder()
 CORPUS = json.loads(recorder.CORPUS.read_text())
+SET_CHECKS = json.loads(recorder.SET_CHECKS.read_text())
 
 
 def test_the_corpus_covers_every_argv_in_order():
@@ -29,3 +31,8 @@ def test_the_corpus_covers_every_argv_in_order():
 @pytest.mark.parametrize("entry", CORPUS, ids=lambda entry: " ".join(entry["argv"]))
 def test_output_is_unchanged(entry):
     assert recorder.record(entry["argv"]) == entry
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_set_check_reports_are_unchanged(mode):
+    assert recorder.set_check_digests(mode == "exact") == SET_CHECKS[mode]
