@@ -51,10 +51,11 @@ from .jump_series import (
     JumpSeries,
     Kernel,
     integrate_kernel_times_step,
-    _abel_value,
+    _add_pairs,
     _balanced,
     _exact_abel,
     _exact_series,
+    _exact_value,
     _rational_pow,
 )
 from .primes import DEFAULT_LIMIT_CAP, _check_exact_x, _fraction_sum
@@ -110,12 +111,15 @@ def _abel_over(series, x, k, m):
 
     Over an exact series, at an int or Fraction x from the first jump on
     and an int k != -1, the sum is _exact_abel_over's, typed by
-    jump_series._abel_value: the same rational, of the same type, as
-    _abel of the step value and the integral.  The rest (floats, k = -1,
-    other types of x or k) takes _abel.
+    jump_series._exact_value: the same rational, of the same type, as
+    _abel of the step value and the integral: an int only for m = 1, an
+    int x and integer locations and weights (all of them, not only those
+    up to x), where the step value and the integral are ints too.  The
+    rest (floats, k = -1, other types of x or k) takes _abel.
     """
     if series.is_exact and type(x) in (int, Fraction) and type(k) is int and k != -1:
-        return _abel_value(series, x, m, _exact_abel_over(series, x, k, m))
+        ratio = _exact_abel_over(series, x, k, m)
+        return _exact_value(series._integer, *ratio, m == 1 and type(x) is int)
     _require_point_at_or_after(series, x)
     kernel = Kernel.power(k)
     step = series.value(x)
@@ -222,14 +226,6 @@ def harmonic_direct(x, *, exact=False):
     return math.fsum(1.0 / i for i in range(1, n + 1))
 
 
-def _add_pairs(left, right):
-    """Two (numerator, denominator) pairs of ints as one, over their lcm,
-    unreduced."""
-    (num1, den1), (num2, den2) = left, right
-    g = math.gcd(den1, den2)
-    return num1 * (den2 // g) + num2 * (den1 // g), den1 // g * den2
-
-
 def harmonic_via_identity(x, *, exact=False):
     """H(x) from the floor function: a boundary term plus one short integral.
 
@@ -238,7 +234,7 @@ def harmonic_via_identity(x, *, exact=False):
     over the unit segments of the floor function.  Float mode streams the
     terms into one math.fsum, so its memory does not grow with x.  Exact
     mode puts the same terms into one pairwise sum of int pairs over their
-    lcm (jump_series._balanced, _add_pairs), with its own code, not the
+    lcm (jump_series._balanced and _add_pairs), with its own code, not the
     oracle's, reduces one Fraction, and refuses x past EXACT_X_CAP.
     """
     _check_at_least(x, 1, "harmonic argument", exact)

@@ -75,12 +75,12 @@ class Kernel:
     """An integrand shape with a closed-form integral.
 
     Every kernel states in one place how to evaluate it, the largest value
-    the integration lower bound must stay above (``lower_domain_edge``,
-    None for no edge), and its integral over [l, r] for floats l <= r
-    (``antiderivative_diff(l, r)``), and the terms F * that integral over
-    many segments at once (``segment_terms``).  ``integer_exponent`` is
-    the int k of y**k for an integral k, which keeps rational data
-    rational; None otherwise.
+    a point and the integration lower bound must stay above
+    (``lower_domain_edge``, None for no edge), its integral over [l, r]
+    for floats l <= r (``antiderivative_diff(l, r)``), and the terms F *
+    that integral over many segments at once (``segment_terms``).
+    ``integer_exponent`` is the int k of y**k for an integral k, which
+    keeps rational data rational; None otherwise.
 
     Instances of this class are kernels in log y, defined for y > 1 and
     evaluated in floats: the module constants INV_Y_LOG_SQ, INV_Y_LOG,
@@ -94,7 +94,7 @@ class Kernel:
 
     def __init__(self, tag, evaluate, antiderivative_diff):
         self.tag = tag
-        self._evaluate = evaluate
+        self._float_evaluate = evaluate
         self.antiderivative_diff = antiderivative_diff
 
     @staticmethod
@@ -104,10 +104,23 @@ class Kernel:
         return _Power(k)
 
     def __call__(self, y):
-        fy = float(y)
-        if fy <= 1.0:
-            raise DomainError(f"kernel {self.tag} undefined at {y}")
-        return self._evaluate(fy)
+        """The kernel at y, refused with DomainError unless y is a finite
+        real above lower_domain_edge (when set) at which the kernel can be
+        evaluated: a float overflow is refused too."""
+        _check_finite_point(y, "kernel point")
+        edge = self.lower_domain_edge
+        if edge is not None and y <= edge:
+            raise DomainError(f"kernel {self.tag} undefined at {_int_text(y)}")
+        try:
+            return self._evaluate(y)
+        except (OverflowError, ZeroDivisionError):
+            # a kernel in log y at a y that rounds to 1.0 divides by zero
+            raise DomainError(
+                f"kernel {self.tag} at {_int_text(y)} cannot be evaluated in floats"
+            ) from None
+
+    def _evaluate(self, y):
+        return self._float_evaluate(float(y))
 
     def check_interval(self, a, b):
         if a > b:
@@ -146,7 +159,7 @@ class _Power(Kernel):
     def __hash__(self):
         return hash(self.exponent)
 
-    def __call__(self, y):
+    def _evaluate(self, y):
         return _rational_pow(y, self.exponent)
 
     @property
@@ -341,6 +354,14 @@ def _balanced(nodes, merge):
     return nodes[0]
 
 
+def _add_pairs(left, right):
+    """Two (numerator, denominator) pairs of ints as one, over their lcm,
+    unreduced."""
+    (num1, den1), (num2, den2) = left, right
+    g = math.gcd(den1, den2)
+    return num1 * (den2 // g) + num2 * (den1 // g), den1 // g * den2
+
+
 def _run(nums, dens):
     """(den, running sums from 0) of one run of the weights nums[i] /
     dens[i], den the lcm of dens."""
@@ -396,15 +417,14 @@ class JumpSeries:
     6 MiB.
     """
 
-    __slots__ = ("_locations", "_weights", "_prefix", "_is_exact", "_integer")
+    __slots__ = ("_locations", "_weights", "_prefix", "_integer")
 
     def __init__(self, locations, weights):
         self._locations = locations = tuple(locations)
         self._weights = weights = tuple(weights)
         types = set(map(type, locations)) | set(map(type, weights))
-        self._is_exact = all(issubclass(t, Rational) for t in types)
         self._prefix = self._integer = None
-        if not self._is_exact:
+        if not all(issubclass(t, Rational) for t in types):
             self._prefix = (0,) + tuple(accumulate(weights))
             return
         dens = [int(q.denominator) for q in locations]
@@ -440,7 +460,7 @@ class JumpSeries:
 
     @property
     def is_exact(self):
-        return self._is_exact
+        return self._integer is not None
 
     def __len__(self):
         if self._locations is None:
@@ -463,18 +483,18 @@ class JumpSeries:
     def prefix_value(self, index):
         """Sum of the first ``index`` weights (0 <= index <= len).
 
-        An exact series merges the run totals before the value pairwise
-        (_merge), and _exact_value types the sum: an int when every weight
-        is an integer, a Fraction otherwise.
+        An exact series adds the run totals before the value pairwise
+        (_add_pairs), and _exact_value types the sum: an int when every
+        weight is an integer, a Fraction otherwise.
         """
-        if not self._is_exact:
-            return self._prefix[index]
         form = self._integer
+        if form is None:
+            return self._prefix[index]
         r, k = form.run_of(index)
         den, prefix = form.runs[r]
-        nodes = [*_rise_nodes(form.runs[:r], 0), (prefix[k], den, 0, 1, 1, 0, 0)]
-        n, d = _balanced(nodes, _merge)[:2]
-        return _exact_value(form, n, d, True)
+        pairs = [(run[-1], run_den) for run_den, run in form.runs[:r]]
+        pairs.append((prefix[k], den))
+        return _exact_value(form, *_balanced(pairs, _add_pairs), True)
 
 
 def _exact_series(loc_den, loc_nums, nums, dens):
@@ -495,7 +515,6 @@ def _exact_series(loc_den, loc_nums, nums, dens):
     """
     series = JumpSeries.__new__(JumpSeries)
     series._locations = series._weights = series._prefix = None
-    series._is_exact = True
     series._integer = _form_from_ints(loc_den, loc_nums, nums, dens)
     return series
 
@@ -684,15 +703,20 @@ def _run_tree(form, m, a, b):
     bn, bd).
 
     Segment by segment, F-value times (right**m - left**m) / m, summed in
-    integer numerators: the jump locations strictly inside (a, b) are
-    ints over the series' location denominator, and the two partial end
-    segments at a and b enter as separate rational terms, so nothing is
-    rescaled to the denominators of a and b but the final sum.  Each run
-    of the integer form that meets [a, b] sums its own segments with its
-    own running sums (_power_node, _reciprocal_node), each run before it
-    enters as a rise at a (_rise_nodes), and the nodes merge pairwise in
-    a balanced tree (_merge), so no running sum is put over the lcm of
-    every weight.  An empty range is one segment of length zero.
+    integer numerators.  The segments' end points are built once, in
+    order: a, the jump locations strictly inside (a, b), and b, each in
+    its m-th-power form.  With a * loc_den = an / ad and b * loc_den =
+    bn / bd, and q the int numerator of a location over loc_den: for
+    m > 0 every point is an int over (ad * bd * loc_den)**m, so a is
+    an**m * bd**m, b is bn**m * ad**m and q is q**m * ad**m * bd**m; for
+    m < 0 every point is a pair (top, bottom), y**m = top / bottom *
+    loc_den**-m, so a is (ad**-m, an**-m), b is (bd**-m, bn**-m) and q is
+    (1, q**-m).  Each run of the integer form that meets [a, b] sums its
+    own segments over its slice of the points, with its own running sums
+    (_power_node, _reciprocal_node), each run before it enters as a rise
+    at a (_rise_nodes), and the nodes merge pairwise in a balanced tree
+    (_merge), so no running sum is put over the lcm of every weight.  An
+    empty range is one segment of length zero.
 
     ``root`` is _merge's node over [a, b]: its rise n / den is F just
     below b (F(b) if a == b), and m times the integral is s * scale /
@@ -705,32 +729,30 @@ def _run_tree(form, m, a, b):
     # the scaled locations are ints: compare them with floor(a), ceil(b)
     i0 = bisect_right(locs, an // ad)
     i1 = max(bisect_left(locs, -(-bn // bd)), i0)
-    # every point below is raised to the m-th power: the jumps inside, a, b
+    # the points, each raised to the m-th power: the jumps inside, a, b
     bits = bn.bit_length() + ad.bit_length() + bd.bit_length()
     _check_power_work(m, i1 - i0 + 2, bits)
+    powers = map(pow, locs[i0:i1], repeat(abs(m)))
     if m > 0:
-        # y**m = (n/d)**m / loc_den**m for a scaled point n/d: over
-        # (ad * bd * loc_den)**m, every point is an int
         ad_m, bd_m = ad**m, bd**m
-        ends = an**m * bd_m, bn**m * ad_m, ad_m * bd_m
-        node, start, rest, scale = _power_node, ends[0], ends[2] * form.loc_den**m, 1
+        c = ad_m * bd_m
+        points = [an**m * bd_m, *map(mul, powers, repeat(c)), bn**m * ad_m]
+        node, start, rest, scale = _power_node, points[0], c * form.loc_den**m, 1
     else:
-        # y**m = (d/n)**j * loc_den**j for a scaled point n/d, with j = -m
         j = -m
-        ends = (ad**j, an**j), (bd**j, bn**j)
+        points = [(ad**j, an**j), *zip(repeat(1), powers), (bd**j, bn**j)]
         node, start, rest, scale = _reciprocal_node, ad**j, an**j, form.loc_den**j
-    # step values i0 .. i1 hold on [a, b], value i up to location i and
-    # value i1 up to b
+    # step values i0 .. i1 hold on [a, b], value i from point i - i0 to
+    # the next
     r0, k0 = form.run_of(i0)
     r1, k1 = form.run_of(i1)
     nodes = _rise_nodes(form.runs[:r0], start)
     for r in range(r0, r1 + 1):
         den, prefix = form.runs[r]
-        base = r * _RUN
-        head, tail = r == r0, r == r1
-        lo, hi = k0 if head else 1, k1 if tail else _RUN
-        inner = locs[i0 if head else base : i1 if tail else base + _RUN + 1]
-        nodes.append(node(den, prefix, lo, hi, inner, head, tail, m, ends))
+        lo = k0 if r == r0 else 1
+        hi = k1 if r == r1 else _RUN
+        p = r * _RUN + lo - i0
+        nodes.append(node(den, prefix[lo : hi + 1], points[p : p + hi - lo + 2]))
     root = _balanced(nodes, _merge)
     return root, rest * root[4], scale, i1, bn, bd
 
@@ -762,8 +784,8 @@ def _exact_abel(series, x, m):
     at the first jump, and its sum is m times the integral.  The two
     terms stay apart until they are put over one denominator as ints, and
     nothing is reduced: an exact set check compares the pair with its
-    oracle's by cross-multiplication, and _abel_value types it for a
-    public route.
+    oracle's by cross-multiplication, and identities._abel_over types it
+    for a public route.
     """
     form = series._integer
     root, rest, scale, i1, bn, bd = _run_tree(form, m, series.domain_min, x)
@@ -780,46 +802,26 @@ def _exact_abel(series, x, m):
     return _Unreduced(num, xd * wd * den * rest)
 
 
-def _abel_value(series, x, m, ratio):
-    """The exact Abel sum ``ratio`` = _exact_abel(series, x, m), typed by
-    _exact_value: an int only for m = 1, an int x, integer locations and
-    integer weights, where the step value and the integral are ints too.
-    So the type is the one _abel gives of the two, even where the weights
-    up to x are integers and later ones are not."""
-    return _exact_value(series._integer, *ratio, m == 1 and type(x) is int)
+def _power_node(den, values, points):
+    """_merge's node for m > 0 over one run's segments: the step values
+    ``values`` hold in order between consecutive ``points``, the ints of
+    _run_tree's m > 0 form."""
+    s = sum(v * (r - l) for v, l, r in zip(values, points, points[1:]))
+    return values[-1], den, s, 1, 1, points[0], points[-1]
 
 
-def _power_node(den, prefix, lo, hi, inner, head, tail, m, ends):
-    """_merge's node for m > 0 over one run's segments.
-
-    The run's step values prefix[lo], ..., prefix[hi] hold in order: on
-    the segment from a to inner[0] if ``head``, on those between the
-    locations ``inner``, and on the segment from inner[-1] to b if
-    ``tail``.  ``ends`` is (a's point, b's point, ad**m * bd**m), each
-    point the int y**m * (ad * bd * loc_den)**m, so a location q's point
-    is q**m * ad**m * bd**m.
-    """
-    a_point, b_point, c = ends
-    pw = [a_point] * head + [q**m * c for q in inner] + [b_point] * tail
-    s = sum(v * (r - l) for v, l, r in zip(prefix[lo : hi + 1], pw, pw[1:]))
-    return prefix[hi], den, s, 1, 1, pw[0], pw[-1]
-
-
-def _reciprocal_node(den, prefix, lo, hi, inner, head, tail, m, ends):
+def _reciprocal_node(den, values, points):
     """_merge's node for m < 0 over one run's segments (arguments as in
-    _power_node).  Each point enters as (top, bottom), y**m /
-    loc_den**-m = top / bottom, ``ends`` holds a's and b's, and the
-    segment terms merge pairwise (_join_stretches)."""
-    j = -m
-    pw = [ends[0]] * head + [(1, q**j) for q in inner] + [ends[1]] * tail
+    _power_node, each point a (top, bottom) pair of _run_tree's m < 0
+    form); the segment terms merge pairwise (_join_stretches)."""
     num, l, f = _balanced(
         [
             (v * (rt * lb - lt * rb), lb, rb)
-            for v, (lt, lb), (rt, rb) in zip(prefix[lo : hi + 1], pw, pw[1:])
+            for v, (lt, lb), (rt, rb) in zip(values, points, points[1:])
         ],
         _join_stretches,
     )
-    return prefix[hi], den, num, l, f, pw[0][0], pw[-1][0]
+    return values[-1], den, num, l, f, points[0][0], points[-1][0]
 
 
 # =====================================================================

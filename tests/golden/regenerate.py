@@ -15,8 +15,8 @@ random_set_sweep(seed, 1, exact=...) for each seed below SET_SEEDS, in
 float and in exact mode: the set reports, exact ones included, which no
 argv reaches (`verify --identity count` runs in floats only).
 
-tests/test_golden.py replays every entry and every sweep.  A change that alters an output
-reruns this script and names the changed rows:
+tests/test_golden.py replays every entry and every sweep.  A change that
+alters an output reruns this script and names the changed rows:
 
     PYTHONPATH=src python tests/golden/regenerate.py
 """

@@ -599,7 +599,7 @@ class TestExactAbel:
         assert type(got) is type(want)
         ratio = jump_series._exact_abel(s, x, m)
         assert Fraction(*ratio) == want
-        typed = jump_series._abel_value(s, x, m, ratio)
+        typed = jump_series._exact_value(s._integer, *ratio, m == 1 and type(x) is int)
         assert typed == want
         assert type(typed) is type(want)
 

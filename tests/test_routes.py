@@ -18,7 +18,7 @@ import pytest
 import stepsum
 from stepsum import analytic, cli, identities, jump_series, verify
 from stepsum.errors import DomainError, StepSumError
-from stepsum.jump_series import INV_LOG, JumpSeries, Kernel
+from stepsum.jump_series import INV_LOG, INV_Y_LOG_SQ, JumpSeries, Kernel
 from stepsum.primes import PrimeTable, sieve
 from stepsum.report import IdentityId
 from stepsum.verify import POINTWISE, ROUTES
@@ -297,10 +297,27 @@ def test_every_public_route_refuses_a_bad_point_with_a_stepsum_error(route, exac
             pass
 
 
-# Arguments other than points that a public function refuses: ints past
-# the interpreter's str() limit, bools, random_intervals' count and bounds,
-# and exponents
+# Arguments other than a route's point that a public function refuses: a
+# kernel's point, ints past the interpreter's str() limit, bools,
+# random_intervals' count and bounds, and exponents
 BAD_ARGUMENTS = {
+    # a kernel refuses, with DomainError, a point that is not a finite real
+    # or not above its lower domain edge, and a value past the float range
+    "Kernel.power(2000)(5.0)": lambda: Kernel.power(2000)(5.0),
+    "INV_Y_LOG_SQ(10**400)": lambda: INV_Y_LOG_SQ(10**400),
+    "stieltjes_integrate y**10**400": (
+        lambda: jump_series.stieltjes_integrate(
+            Kernel.power(10**400), JumpSeries([2.0], [1.0]), 2.0, 3.0
+        )
+    ),
+    "Kernel.power(-3)(0)": lambda: Kernel.power(-3)(0),
+    "Kernel.power(-1)(Fraction(0))": lambda: Kernel.power(-1)(Fraction(0)),
+    "Kernel.power(0.5)(-4.0)": lambda: Kernel.power(0.5)(-4.0),
+    "Kernel.power(2)(nan)": lambda: Kernel.power(2)(math.nan),
+    "INV_LOG(inf)": lambda: INV_LOG(math.inf),
+    "INV_LOG('x')": lambda: INV_LOG("x"),
+    "INV_LOG(None)": lambda: INV_LOG(None),
+    "Kernel.power(2)('3')": lambda: Kernel.power(2)("3"),
     "natural_reciprocal_series": (
         lambda: identities.natural_reciprocal_series(-10**5000)
     ),
