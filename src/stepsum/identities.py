@@ -45,7 +45,7 @@ from itertools import accumulate, chain, repeat
 from numbers import Rational, Real
 from operator import add, truediv
 
-from . import staircases
+from . import jump_series, staircases
 from .errors import DomainError, ResourceError, _check_finite_point, _int_text, _is_int
 from .jump_series import (
     JumpSeries,
@@ -55,7 +55,6 @@ from .jump_series import (
     _balanced,
     _exact_abel,
     _exact_series,
-    _exact_value,
     _rational_pow,
 )
 from .primes import DEFAULT_LIMIT_CAP, _check_exact_x, _fraction_sum
@@ -119,7 +118,9 @@ def _abel_over(series, x, k, m):
     """
     if series.is_exact and type(x) in (int, Fraction) and type(k) is int and k != -1:
         ratio = _exact_abel_over(series, x, k, m)
-        return _exact_value(series._integer, *ratio, m == 1 and type(x) is int)
+        return jump_series._exact_value(
+            series._integer, *ratio, m == 1 and type(x) is int
+        )
     _require_point_at_or_after(series, x)
     kernel = Kernel.power(k)
     step = series.value(x)

@@ -599,9 +599,6 @@ class TestExactAbel:
         assert type(got) is type(want)
         ratio = jump_series._exact_abel(s, x, m)
         assert Fraction(*ratio) == want
-        typed = jump_series._exact_value(s._integer, *ratio, m == 1 and type(x) is int)
-        assert typed == want
-        assert type(typed) is type(want)
 
     def test_int_only_where_the_terms_are_ints(self):
         """m = 1 over integer locations and weights at an int x is an int,

@@ -297,12 +297,9 @@ def test_every_public_route_refuses_a_bad_point_with_a_stepsum_error(route, exac
             pass
 
 
-# Arguments other than a route's point that a public function refuses: a
-# kernel's point, ints past the interpreter's str() limit, bools,
-# random_intervals' count and bounds, and exponents
-BAD_ARGUMENTS = {
-    # a kernel refuses, with DomainError, a point that is not a finite real
-    # or not above its lower domain edge, and a value past the float range
+# A kernel refuses, with DomainError, a point that is not a finite real or
+# not above its lower domain edge, and a value past the float range
+KERNEL_POINTS = {
     "Kernel.power(2000)(5.0)": lambda: Kernel.power(2000)(5.0),
     "INV_Y_LOG_SQ(10**400)": lambda: INV_Y_LOG_SQ(10**400),
     "stieltjes_integrate y**10**400": (
@@ -318,6 +315,14 @@ BAD_ARGUMENTS = {
     "INV_LOG('x')": lambda: INV_LOG("x"),
     "INV_LOG(None)": lambda: INV_LOG(None),
     "Kernel.power(2)('3')": lambda: Kernel.power(2)("3"),
+}
+
+
+# Arguments other than a route's point that a public function refuses: a
+# kernel's point, ints past the interpreter's str() limit, bools,
+# random_intervals' count and bounds, and exponents
+BAD_ARGUMENTS = {
+    **KERNEL_POINTS,
     "natural_reciprocal_series": (
         lambda: identities.natural_reciprocal_series(-10**5000)
     ),
@@ -421,6 +426,14 @@ def test_a_float_power_past_the_float_range_is_a_domain_error_at_any_x(x):
     to the power exactly first, which would pass the exact work budget."""
     with pytest.raises(DomainError, match="overflows floats"):
         identities.power_sum_via_abel(_H[False], x, 2 * 10**6)
+
+
+@pytest.mark.parametrize("call", KERNEL_POINTS)
+def test_a_kernel_refuses_a_point_outside_its_domain(call):
+    """DomainError, not ResourceError or ConfigurationError: the point,
+    not a budget or a setting, is what the kernel refuses."""
+    with pytest.raises(DomainError):
+        KERNEL_POINTS[call]()
 
 
 @pytest.mark.parametrize("call", BAD_ARGUMENTS)
