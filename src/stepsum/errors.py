@@ -3,7 +3,8 @@
 The distinction that matters downstream: DomainError and RangeError are
 argument problems (the CLI maps them to distinct exit codes), ResourceError
 is a refusal to start a computation that would exceed a configured budget,
-and PanelBudgetError comes only from the tests' reference quadrature.
+and PanelBudgetError comes only from stepsum.quadrature, which no route
+or test calls: only the benchmark's tracer imports it.
 
 A public route that takes a point refuses a bad one with a StepSumError:
 _check_finite_point and _float_point raise DomainError, and a message

@@ -21,19 +21,21 @@ exact series holds its locations as integer numerators over one location
 denominator, and its step values in runs of consecutive jumps, each over
 its own denominator (_IntegerForm); the segment sums run in Python ints,
 the runs merge pairwise into one run tree (_run_tree), where each run
-before the range adds only its total weight.  The Abel identity's two
-terms, x**m * F(x) and m times the integral of y**(m-1) * F(y) from the
-first jump, both come from one such tree (_exact_abel) and are put over
-one denominator as ints, left unreduced (_Unreduced): an exact set check
-compares that pair with its oracle's as it is.  One helper (_exact_value)
-builds each exact result a public function returns, an int or a
-Fraction.  The constructor derives that form from rational data; the
-package's own exact staircases are built from their builders' ints
-(_exact_series), with no Fraction per atom.  Anything
-involving a logarithm is evaluated in floats, with the antiderivative
-differences arranged to avoid cancellation between nearby segment
-endpoints; a power kernel's segment terms are evaluated in C-level maps
-(_power_diffs), with the operations of its scalar antiderivative_diff.
+before the range adds only its total weight; the tree over [a, b] takes
+the jumps up to b, b's own included, so its root's rise is F(b).  The
+Abel identity's two terms, x**m * F(x) and m times the integral of
+y**(m-1) * F(y) from the first jump, both come from one such tree's root
+(_exact_abel) and are put over one denominator as ints, left unreduced
+(_Unreduced): an exact set check compares that pair with its oracle's as
+it is.  One helper (_exact_value) builds each exact result a public
+function returns, an int or a Fraction.  The constructor derives that
+form from rational data; the package's own exact staircases are built
+from their builders' ints (_exact_series), with no Fraction per atom.
+Anything involving a logarithm is evaluated in floats, with the
+antiderivative differences arranged to avoid cancellation between nearby
+segment endpoints; a power kernel's segment terms are evaluated in
+C-level maps (_power_diffs), with the operations of its scalar
+antiderivative_diff.
 """
 
 import math
@@ -413,8 +415,8 @@ class JumpSeries:
     the lcm of every weight (about 1.44 x bits over the primes or the
     naturals up to x): at primes.EXACT_X_CAP, the exact floor over the
     naturals builds its series and its run tree, for the step value and
-    the integral at once, in about 0.10 s, with a traced peak of about
-    6 MiB.
+    the integral at once, in about 0.10 s, with a traced peak of 7.0 MiB,
+    5.2 MiB of it the stored runs.
     """
 
     __slots__ = ("_locations", "_weights", "_prefix", "_integer")
@@ -603,7 +605,7 @@ def integrate_kernel_times_step(series, kernel, a, b):
     ):
         m = ki + 1
         form = series._integer
-        root, rest, scale, *_ = _run_tree(form, m, a, b)
+        root, rest, scale = _run_tree(form, m, a, b)
         _, den, s = root[:3]
         return _exact_value(form, s * scale, den * rest * m, m == 1)
     if a == b or len(series) == 0:
@@ -699,37 +701,37 @@ def _rise_nodes(runs, point):
 
 def _run_tree(form, m, a, b):
     """The run tree of the integral of y**(m-1) * F(y) over [a, b] (a <= b,
-    m != 0), for an exact series' integer form: (root, rest, scale, i1,
-    bn, bd).
+    m != 0), for an exact series' integer form: (root, rest, scale).
 
     Segment by segment, F-value times (right**m - left**m) / m, summed in
     integer numerators.  The segments' end points are built once, in
-    order: a, the jump locations strictly inside (a, b), and b, each in
-    its m-th-power form.  With a * loc_den = an / ad and b * loc_den =
-    bn / bd, and q the int numerator of a location over loc_den: for
-    m > 0 every point is an int over (ad * bd * loc_den)**m, so a is
-    an**m * bd**m, b is bn**m * ad**m and q is q**m * ad**m * bd**m; for
-    m < 0 every point is a pair (top, bottom), y**m = top / bottom *
-    loc_den**-m, so a is (ad**-m, an**-m), b is (bd**-m, bn**-m) and q is
-    (1, q**-m).  Each run of the integer form that meets [a, b] sums its
-    own segments over its slice of the points, with its own running sums
-    (_power_node, _reciprocal_node), each run before it enters as a rise
-    at a (_rise_nodes), and the nodes merge pairwise in a balanced tree
-    (_merge), so no running sum is put over the lcm of every weight.  An
-    empty range is one segment of length zero.
+    order: a, the jump locations in (a, b], and b, each in its m-th-power
+    form.  With a * loc_den = an / ad and b * loc_den = bn / bd, and q the
+    int numerator of a location over loc_den: for m > 0 every point is an
+    int over (ad * bd * loc_den)**m, so a is an**m * bd**m, b is
+    bn**m * ad**m and q is q**m * ad**m * bd**m; for m < 0 every point is
+    a pair (top, bottom), y**m = top / bottom * loc_den**-m, so a is
+    (ad**-m, an**-m), b is (bd**-m, bn**-m) and q is (1, q**-m).  Each
+    run of the integer form that meets [a, b] sums its own segments over
+    its slice of the points, with its own running sums (_power_node,
+    _reciprocal_node), each run before it enters as a rise at a
+    (_rise_nodes), and the nodes merge pairwise in a balanced tree
+    (_merge), so no running sum is put over the lcm of every weight.  A
+    jump at b ends a last segment of length zero, and an empty range is
+    one.
 
-    ``root`` is _merge's node over [a, b]: its rise n / den is F just
-    below b (F(b) if a == b), and m times the integral is s * scale /
-    (den * rest).  The first ``i1`` jumps lie below b (at or below it if
-    a == b); bn / bd is b * loc_den in lowest terms.  Nothing is reduced.
+    ``root`` is _merge's node over [a, b], (n, den, s, l, f, first,
+    last): its rise n / den is F(b), m times the integral is s * scale /
+    (den * rest), and b**m is last * l * scale / rest.  Nothing is
+    reduced.
     """
     an, ad = _scaled_point(a, form.loc_den)
     bn, bd = _scaled_point(b, form.loc_den)
     locs = form.locations
-    # the scaled locations are ints: compare them with floor(a), ceil(b)
+    # the scaled locations are ints: compare them with floor(a), floor(b)
     i0 = bisect_right(locs, an // ad)
-    i1 = max(bisect_left(locs, -(-bn // bd)), i0)
-    # the points, each raised to the m-th power: the jumps inside, a, b
+    i1 = bisect_right(locs, bn // bd)
+    # the points, each raised to the m-th power: a, the jumps in (a, b], b
     bits = bn.bit_length() + ad.bit_length() + bd.bit_length()
     _check_power_work(m, i1 - i0 + 2, bits)
     powers = map(pow, locs[i0:i1], repeat(abs(m)))
@@ -754,7 +756,7 @@ def _run_tree(form, m, a, b):
         p = r * _RUN + lo - i0
         nodes.append(node(den, prefix[lo : hi + 1], points[p : p + hi - lo + 2]))
     root = _balanced(nodes, _merge)
-    return root, rest * root[4], scale, i1, bn, bd
+    return root, rest * root[4], scale
 
 
 class _Unreduced(NamedTuple):
@@ -779,27 +781,16 @@ def _exact_abel(series, x, m):
     to x), exactly, from one run tree (_run_tree), as an _Unreduced pair.
 
     For an exact series, an int or Fraction x from the first jump on and
-    an int m != 0.  The tree's root gives both terms: its rise is F just
-    below x plus the weight at x for an atom past the first jump, or F(x)
-    at the first jump, and its sum is m times the integral.  The two
-    terms stay apart until they are put over one denominator as ints, and
+    an int m != 0.  The tree's root gives both terms: its rise is F(x),
+    its end term x**m and its sum m times the integral.  The two terms
+    stay apart until they are put over one denominator as ints, and
     nothing is reduced: an exact set check compares the pair with its
     oracle's by cross-multiplication, and identities._abel_over types it
     for a public route.
     """
-    form = series._integer
-    root, rest, scale, i1, bn, bd = _run_tree(form, m, series.domain_min, x)
-    n, den, s = root[:3]
-    wn, wd = 0, 1
-    if bd == 1 and i1 < len(form.locations) and form.locations[i1] == bn:
-        wn, wd = form.nums[i1], form.dens[i1]
-    if m > 0:
-        xn, xd = x.numerator**m, x.denominator**m
-    else:
-        xn, xd = x.denominator**-m, x.numerator**-m
-    # x**m * (n/den + wn/wd) - s * scale / (den * rest)
-    num = xn * (n * wd + wn * den) * rest - s * scale * xd * wd
-    return _Unreduced(num, xd * wd * den * rest)
+    root, rest, scale = _run_tree(series._integer, m, series.domain_min, x)
+    n, den, s, l, _, _, last = root
+    return _Unreduced(scale * (last * l * n - s), den * rest)
 
 
 def _power_node(den, values, points):

@@ -38,8 +38,8 @@ DEFAULT_LIMIT_CAP = 10**8
 # lcm (jump_series._IntegerForm), and an exact Abel route reads F(x) and
 # its integral from one tree of runs: at this cap the costliest route, the
 # exact floor over the naturals, takes about 0.10 s with a traced peak of
-# about 6 MiB (2 vCPU, Python 3.11).  Past it the exact routes raise
-# ResourceError before they loop.
+# 7.0 MiB, 5.2 MiB of it the stored runs (2 vCPU, Python 3.11).  Past it
+# the exact routes raise ResourceError before they loop.
 EXACT_X_CAP = 3 * 10**4
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stepsum import identities, jump_series
@@ -580,7 +580,63 @@ def abel_cases(draw):
     return locations, weights, x
 
 
+def _plain(value):
+    """A Fraction of denominator 1 as an int, any other value as it is."""
+    return int(value) if Fraction(value).denominator == 1 else value
+
+
+@st.composite
+def small_exact_cases(draw):
+    """Two to four atoms at q / L for one denominator L (an int where that
+    is one), with int and Fraction weights of both signs, and a point x
+    from the first jump on: (q * j) / (L * d) for an atom q / L and
+    1 <= j <= d, which is the atom at j = d, or (q +- 1/d) / L.  Off an
+    atom, x * L's numerator can be an atom's."""
+    den = draw(st.integers(1, 4))
+    qs = sorted(draw(st.sets(st.integers(1, 20), min_size=2, max_size=4)))
+    locations = [_plain(Fraction(q, den)) for q in qs]
+    nonzero = st.integers(-9, 9).filter(bool)
+    weight = st.one_of(nonzero, st.builds(Fraction, nonzero, st.integers(2, 7)))
+    weights = draw(st.lists(weight, min_size=len(qs), max_size=len(qs)))
+    q = draw(st.sampled_from(qs))
+    d = draw(st.integers(2, 3))
+    j = draw(st.integers(1, d))
+    x = draw(
+        st.sampled_from(
+            [
+                Fraction(q * j, den * d),
+                (q + Fraction(1, d)) / den,
+                (q - Fraction(1, d)) / den,
+            ]
+        )
+    )
+    assume(x >= locations[0])
+    return locations, weights, _plain(x)
+
+
 class TestExactAbel:
+    @settings(max_examples=300, deadline=None)
+    @given(small_exact_cases())
+    def test_routes_match_plain_atom_sums(self, case):
+        """Each exact Abel route equals the plain Fraction sum of w * q**m
+        over the atoms (q, w) at or below x, for m = -3 .. 3 (m != 0): the
+        count and power sum routes, the reciprocal one, and the unreduced
+        pair of the set checks."""
+        locations, weights, x = case
+        s = JumpSeries(locations, weights)
+        atoms = [(Fraction(q), w) for q, w in zip(locations, weights) if q <= x]
+        for m in (-3, -2, -1, 1, 2, 3):
+            want = sum((w * q**m for q, w in atoms), Fraction(0))
+            got = [
+                power_sum_via_abel(s, x, m - 1),
+                Fraction(*identities._exact_abel_over(s, x, m - 1, m)),
+            ]
+            if m == 1:
+                got.append(identities.count_via_abel(s, x))
+            if m < 0:
+                got.append(reciprocal_power_sum_via_abel(s, x, -m - 1))
+            assert got == [want] * len(got), m
+
     @settings(max_examples=150, deadline=None)
     @given(abel_cases(), st.sampled_from([-5, -4, -3, -2, 0, 1, 2, 3]))
     def test_one_pass_equals_step_value_and_integral(self, case, k):

@@ -401,6 +401,13 @@ BAD_ARGUMENTS = {
             _H[True], Kernel.power(10**6), 2, 5
         )
     ),
+    # a lower bound whose denominator has 2**20 + 1 bits: the budget counts
+    # them, though the bound is below every jump
+    "integrate_kernel_times_step exact a=2**-2**20": (
+        lambda: jump_series.integrate_kernel_times_step(
+            JumpSeries([1, 2], [1, 1]), Kernel.power(1), Fraction(1, 2**2**20), 2
+        )
+    ),
     "power_sum_via_abel float k=2000": (
         lambda: identities.power_sum_via_abel(_H[False], 5.0, 2000)
     ),

@@ -314,13 +314,15 @@ class TestRandomSetSweep:
         """The exact exponent cap is derived from the run trees' work
         budget for the worst draw: at the largest k it accepts, max_size
         atoms checked at an 83-bit evaluation point (a raw float in [1, 2))
-        pass, and the next k, like k = 49998 for one atom, is refused
-        before any draw, not by the run tree after it."""
+        past the last atom, and at the last atom, where the run trees end
+        in a segment of length zero, pass; and the next k, like k = 49998
+        for one atom, is refused before any draw, not by the run tree
+        after it."""
         k = verify.MAX_EXACT_SET_WORK // (max_size + 1) - 1
         qs = [1 + i * 2**-20 + 2**-24 for i in range(max_size)]
-        x = qs[-1] + 2**-30 + 2**-52
-        reports = verify._check_one_set(qs, x, (k,), 1e-10, True)
-        assert len(reports) == 3 and all(r.passed for r in reports)
+        for x in (qs[-1] + 2**-30 + 2**-52, qs[-1]):
+            reports = verify._check_one_set(qs, x, (k,), 1e-10, True)
+            assert len(reports) == 3 and all(r.passed for r in reports)
 
         def no_draw(*args):
             raise AssertionError("drew a set for a refused exponent")
